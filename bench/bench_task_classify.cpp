@@ -2,8 +2,10 @@
 // (Properties 3-6): one M_R pass classifies every pooled task as vital /
 // eager / reserve / irrelevant through the destination's marked priority,
 // agreeing exactly with the sequential reachability oracle; irrelevant tasks
-// are expunged by the restructuring phase.
+// are expunged by the restructuring phase. BM_PoolRestructure times that
+// phase's pass over one task pool.
 #include "bench/bench_common.h"
+#include "runtime/pool.h"
 
 namespace dgr::bench {
 namespace {
@@ -85,6 +87,31 @@ void BM_ClassifyCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_ClassifyCycle)->Arg(1000)->Arg(10000)
     ->Unit(benchmark::kMillisecond);
+
+// The restructuring pass over one pool of n tasks, with half of them
+// changing bucket on every pass (even destinations flip between vital and
+// reserve) — the per-cycle churn hot keys cause. The pass is linear, so
+// time_per_task should stay flat as n grows.
+void BM_PoolRestructure(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  TaskPool pool;
+  for (std::uint32_t i = 0; i < n; ++i)
+    pool.push(Task::request(VertexId{0, n + i}, VertexId{0, i},
+                            i % 4 < 2 ? ReqKind::kVital : ReqKind::kEager));
+  const auto kill_none = [](const Task&) { return false; };
+  const auto flip = [](const Task& t) {
+    if (t.d.idx % 2 != 0) return t.pool_prior;
+    return t.pool_prior == 3 ? std::uint8_t{1} : std::uint8_t{3};
+  };
+  for (auto _ : state)
+    benchmark::DoNotOptimize(pool.restructure(kill_none, flip).reprioritized);
+  state.SetItemsProcessed(state.iterations() * n);
+  state.counters["time_per_task"] = benchmark::Counter(
+      static_cast<double>(n), benchmark::Counter::kIsIterationInvariantRate |
+                                  benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_PoolRestructure)->Arg(1000)->Arg(10000)->Arg(100000)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace dgr::bench

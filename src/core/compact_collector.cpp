@@ -33,8 +33,14 @@ void CompactCollector::restructure() {
     return vx.live && !vx.aux && !marker_.is_marked(v);
   };
 
-  res.expunged = hooks_.expunge_tasks(
-      [&](const Task& t) { return in_gar(t.d); });
+  const TaskRestructure tr = hooks_.restructure_tasks(
+      [&](const Task& t) { return in_gar(t.d); },
+      [&](const Task& t) {
+        const std::uint8_t p = marker_.prior(t.d);
+        return p ? p : std::uint8_t{1};
+      });
+  res.expunged = tr.expunged;
+  res.reprioritized = tr.reprioritized;
 
   std::vector<VertexId> garbage;
   g_.for_each_live([&](VertexId v) {
@@ -48,11 +54,6 @@ void CompactCollector::restructure() {
   }
   for (VertexId w : garbage) g_.store(w.pe).release(w.idx);
   res.swept = garbage.size();
-
-  res.reprioritized = hooks_.reprioritize_tasks([&](const Task& t) {
-    const std::uint8_t p = marker_.prior(t.d);
-    return p ? p : std::uint8_t{1};
-  });
 
   res.stats = marker_.stats();
   marker_.end();

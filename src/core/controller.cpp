@@ -1,7 +1,5 @@
 #include "core/controller.h"
 
-#include <unordered_set>
-
 #include "graph/oracle.h"
 #include "obs/trace.h"
 #include "util/log.h"
@@ -10,7 +8,10 @@ namespace dgr {
 
 Controller::Controller(Graph& g, Marker& marker, EngineHooks& hooks,
                        VertexId root)
-    : g_(g), marker_(marker), hooks_(hooks) {
+    : g_(g),
+      marker_(marker),
+      hooks_(hooks),
+      task_seen_(std::size_t{g.num_pes()} * g.num_pes()) {
   if (root.valid()) roots_.push_back(root);
   marker_.set_done_callback([this](Plane p) { on_plane_done(p); });
 }
@@ -71,13 +72,18 @@ VertexId Controller::build_task_roots() {
     g_.at(tr).args.clear();
   }
 
-  std::unordered_set<std::uint64_t> dedup;
+  const std::size_t pes = g_.num_pes();
+  if (++task_stamp_ == 0) {  // wrapped: forget every stamp
+    for (auto& seen : task_seen_) seen.assign(seen.size(), 0);
+    task_stamp_ = 1;
+  }
   auto attach = [&](PeId pool_pe, VertexId v) {
     if (!v.valid()) return;  // "<-,d>" tasks have no source
     if (!g_.at(v).live) return;
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(pool_pe) << 40) ^ v.pack();
-    if (!dedup.insert(key).second) return;
+    auto& seen = task_seen_[pool_pe * pes + v.pe];
+    if (seen.size() <= v.idx) seen.resize(g_.store(v.pe).capacity(), 0);
+    if (seen[v.idx] == task_stamp_) return;
+    seen[v.idx] = task_stamp_;
     const VertexId tr = g_.store(pool_pe).taskroot();
     // Unrequested edges: mark3 traces args(v) − req-args(v).
     g_.at(tr).args.emplace_back(v, ReqKind::kNone);
@@ -166,8 +172,9 @@ void Controller::restructure() {
   }
 
   // (b) Expunge irrelevant tasks BEFORE sweeping, so no surviving task
-  // targets a freed vertex. IRR' = { <s,d> | d ∈ GAR' } (Property 6 /
-  // Corollary 1); GAR' = live ∧ ¬aux ∧ ¬marked_R.
+  // targets a freed vertex and in_gar sees pre-sweep liveness.
+  // IRR' = { <s,d> | d ∈ GAR' } (Property 6 / Corollary 1);
+  // GAR' = live ∧ ¬aux ∧ ¬marked_R.
   auto in_gar = [&](VertexId v) {
     if (!v.valid()) return false;
     const Vertex& vx = g_.at(v);
@@ -183,8 +190,18 @@ void Controller::restructure() {
                       v.pe, cur_.cycle, v.idx);
   }
 
-  cur_.expunged = hooks_.expunge_tasks(
-      [&](const Task& t) { return in_gar(t.d); });
+  // (c) Dynamic task prioritization, in the same pass: a surviving task's
+  // priority becomes the marked priority of its destination (vital=3,
+  // eager=2, reserve=1). No survivor's destination is swept, so the sweep
+  // cannot change it.
+  const TaskRestructure tr = hooks_.restructure_tasks(
+      [&](const Task& t) { return in_gar(t.d); },
+      [&](const Task& t) {
+        const std::uint8_t p = marker_.prior(Plane::kR, t.d);
+        return p ? p : std::uint8_t{1};
+      });
+  cur_.expunged = tr.expunged;
+  cur_.reprioritized = tr.reprioritized;
   DGR_TRACE_EVENT(trace_, obs::EventType::kExpunge, Plane::kR, 0, cur_.cycle,
                   cur_.expunged);
 
@@ -230,12 +247,6 @@ void Controller::restructure() {
   // Vertex::stale_requested) have served their purpose for this cycle's M_T.
   g_.for_each_live([&](VertexId v) { g_.at(v).stale_requested.clear(); });
 
-  // (c) Dynamic task prioritization: a pooled task's priority becomes the
-  // marked priority of its destination (vital=3, eager=2, reserve=1).
-  cur_.reprioritized = hooks_.reprioritize_tasks([&](const Task& t) {
-    const std::uint8_t p = marker_.prior(Plane::kR, t.d);
-    return p ? p : std::uint8_t{1};
-  });
   DGR_TRACE_EVENT(trace_, obs::EventType::kReprioritize, Plane::kR, 0,
                   cur_.cycle, cur_.reprioritized);
 

@@ -15,6 +15,7 @@
 //   (b) expunge: pooled/in-flight reduction tasks with d ∈ GAR' (Property 6),
 //   (c) reprioritize: pooled task priority := prior(d) (Properties 3-5),
 //   (d) report deadlocked vertices R'_v − T' (Property 2').
+// (b) and (c) are one pass over the task population, made before (a).
 #pragma once
 
 #include <atomic>
@@ -58,12 +59,11 @@ class EngineHooks {
   // This is the in-transit accounting the paper defers to [5].
   virtual void collect_task_refs(std::vector<TaskRef>& out) = 0;
 
-  // Delete every reduction task for which kill(task) is true; return count.
-  virtual std::size_t expunge_tasks(
-      const std::function<bool(const Task&)>& kill) = 0;
-
-  // Reassign pool priorities; returns number of tasks whose priority changed.
-  virtual std::size_t reprioritize_tasks(
+  // The task half of restructuring, one locked traversal per pool: delete
+  // every reduction task for which kill(task) is true (expunge), and set each
+  // survivor's pool priority to prio(task) (reprioritize).
+  virtual TaskRestructure restructure_tasks(
+      const std::function<bool(const Task&)>& kill,
       const std::function<std::uint8_t(const Task&)>& prio) = 0;
 
   virtual void quiesce_begin() {}
@@ -190,6 +190,10 @@ class Controller {
   std::atomic<std::uint64_t> cycles_{0};
   std::uint64_t total_swept_ = 0;
   std::uint64_t total_expunged_ = 0;
+  // build_task_roots' dedup: task_seen_[pool_pe * P + v.pe][v.idx] equals
+  // task_stamp_ once v is attached to taskroot(pool_pe) in this build.
+  std::vector<std::vector<std::uint32_t>> task_seen_;
+  std::uint32_t task_stamp_ = 0;
 };
 
 }  // namespace dgr

@@ -78,12 +78,18 @@ void Mutator::cooperate_new_edge(Plane plane, VertexId parent,
     break;  // marked ancestor above an unmarked descendant: fall through
   }
 
-  // No transient helper in scope. For M_R this would break the collector and
-  // must be impossible with the reduction's mutation set; for M_T we flag the
-  // cycle so the controller skips deadlock reporting (detection is allowed to
-  // be occasional, §6) instead of risking a false positive.
+  // No transient helper in scope. This happens on M_R when an engine's
+  // boundary summary vetoed a child mark (TaskSink::admit_mark): the vetoing
+  // vertex can finish marking while that child is still covered only by
+  // another parent's pending mark, so a marked vertex points at an unmarked
+  // one. Queue c for the rescue wave, as acquire_reference does. For M_T we
+  // flag the cycle so the controller skips deadlock reporting (detection is
+  // allowed to be occasional, §6) instead of risking a false positive.
   if (plane == Plane::kR) {
-    DGR_CHECK_MSG(false, "add-reference: no transient helper for plane R");
+    DGR_TRACE_EVENT(trace_, obs::EventType::kRescueQueued, plane, c.pe, 0,
+                    c.pack());
+    marker_.rescue(plane, c, prior ? prior : std::uint8_t{1});
+    return;
   }
   DGR_TRACE_EVENT(trace_, obs::EventType::kCoopTaint, plane, parent.pe, 0);
   marker_.taint_cycle(plane);

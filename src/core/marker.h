@@ -206,8 +206,8 @@ class Marker {
   // Liveness escape hatch: when a mutation cannot splice marking activity
   // for plane kT (no transient helper in scope), it flags the cycle; the
   // controller then skips deadlock *reporting* for this cycle (deadlock
-  // detection is explicitly allowed to be occasional, §6). Never needed for
-  // plane kR in the current mutator set; checked by tests.
+  // detection is explicitly allowed to be occasional, §6). Plane kR queues a
+  // rescue instead (Mutator::cooperate_new_edge).
   void taint_cycle(Plane plane) { st(plane).tainted = true; }
   bool cycle_tainted(Plane plane) const { return st(plane).tainted; }
 

@@ -102,6 +102,19 @@ struct Task {
   }
 };
 
+// What one restructuring pass over a task population did (§5.2): tasks
+// deleted as irrelevant, and survivors whose pool priority changed.
+struct TaskRestructure {
+  std::size_t expunged = 0;
+  std::size_t reprioritized = 0;
+
+  TaskRestructure& operator+=(const TaskRestructure& o) {
+    expunged += o.expunged;
+    reprioritized += o.reprioritized;
+    return *this;
+  }
+};
+
 // Where tasks go when spawned. Implemented by the engines: a spawned task is
 // (logically) a message routed to owner(d); "no waiting is done for the
 // completion of the task" (§4.1).

@@ -111,6 +111,13 @@ bool SocketHub::handle_register(Conn* c, const NetFrame& f) {
         d.reject = RejectMsg{2, "worker slot already registered"};
       } else {
         if (reg.flags & kRegisterFlagReconnect) ++stats_.reconnects;
+        // Queue the ack before the slot becomes visible: once workers_[w] is
+        // set, wait_workers() may return and send_to_worker() may queue a
+        // frame, and the worker expects the ack first.
+        NetFrame ack;
+        ack.type = FrameType::kRegisterAck;
+        ack.payload = encode_register_ack(d.ack);
+        enqueue(c, ack);
         workers_[w] = c;
         c->worker = w;
         c->registered = true;
@@ -123,16 +130,11 @@ bool SocketHub::handle_register(Conn* c, const NetFrame& f) {
       }
     }
   }
-  NetFrame reply;
-  reply.src = 0;
-  reply.dst = 0;
   if (d.accept) {
-    reply.type = FrameType::kRegisterAck;
-    reply.payload = encode_register_ack(d.ack);
-    enqueue(c, reply);
     cv_.notify_all();
     return true;
   }
+  NetFrame reply;
   reply.type = FrameType::kReject;
   reply.payload = encode_reject(d.reject);
   // Write the rejection synchronously: the connection is about to close and

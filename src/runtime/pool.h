@@ -4,13 +4,14 @@
 // destination resides on that PE". Tasks are held in three priority buckets
 // (3 = vital, 2 = eager, 1 = reserve); the PE always serves the highest
 // non-empty bucket, which is how vital tasks outcompete eager ones when
-// resources are limited. The restructuring phase moves tasks between buckets
-// (reprioritize) and deletes irrelevant ones (expunge).
+// resources are limited. The restructuring phase deletes irrelevant tasks
+// (expunge) and moves the rest between buckets (reprioritize) in one pass.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <vector>
 
 #include "core/task.h"
 #include "util/assert.h"
@@ -48,48 +49,40 @@ class TaskPool {
     return Task{};
   }
 
-  // Delete all tasks satisfying `kill`; returns how many were expunged.
-  std::size_t expunge(const std::function<bool(const Task&)>& kill) {
-    std::size_t n = 0;
-    for (auto& q : buckets_) {
-      for (std::size_t i = 0; i < q.size();) {
-        if (kill(q[i])) {
-          q.erase(q.begin() + static_cast<std::ptrdiff_t>(i));
-          ++n;
-        } else {
-          ++i;
-        }
-      }
-    }
-    size_ -= n;
-    return n;
-  }
-
-  // Recompute each task's priority; returns how many tasks moved buckets.
-  std::size_t reprioritize(
+  // The restructuring phase over this pool, one stable pass per bucket:
+  // delete every task for which kill(task) holds, give each survivor the
+  // priority prio(task), and append the survivors that change bucket to
+  // their new bucket in scan order (reserve, eager, vital; FIFO within each).
+  // `reprioritized` counts the tasks that changed bucket.
+  TaskRestructure restructure(
+      const std::function<bool(const Task&)>& kill,
       const std::function<std::uint8_t(const Task&)>& prio) {
-    std::size_t moved = 0;
-    std::deque<Task> moving;
+    TaskRestructure r;
+    std::vector<Task> moving;
     for (int b = 0; b < 3; ++b) {
       auto& q = buckets_[b];
-      for (std::size_t i = 0; i < q.size();) {
-        const std::uint8_t p = prio(q[i]);
-        if (bucket(p) != b) {
-          Task t = std::move(q[i]);
-          t.pool_prior = p;
-          moving.push_back(std::move(t));
-          q.erase(q.begin() + static_cast<std::ptrdiff_t>(i));
-          ++moved;
-        } else {
-          q[i].pool_prior = p;
-          ++i;
+      std::size_t keep = 0;
+      for (std::size_t i = 0; i < q.size(); ++i) {
+        Task& t = q[i];
+        if (kill(t)) {
+          ++r.expunged;
+          continue;
         }
+        t.pool_prior = prio(t);
+        if (bucket(t.pool_prior) != b) {
+          moving.push_back(std::move(t));
+          ++r.reprioritized;
+          continue;
+        }
+        if (keep != i) q[keep] = std::move(t);
+        ++keep;
       }
+      q.erase(q.begin() + static_cast<std::ptrdiff_t>(keep), q.end());
     }
-    for (Task& t : moving) {
+    for (Task& t : moving)
       buckets_[bucket(t.pool_prior)].push_back(std::move(t));
-    }
-    return moved;
+    size_ -= r.expunged;
+    return r;
   }
 
   template <typename F>

@@ -225,10 +225,16 @@ void ProcEngine::stop() {
 }
 
 void ProcEngine::wait_quiescent() {
-  while ((!controller_->idle() ||
-          recovering_.load(std::memory_order_acquire)) &&
-         !failed_.load(std::memory_order_acquire))
+  // An idle controller is confirmed under mu_: a recovery aborts the cycle
+  // and restarts it inside one mu_ section (fence_and_restart), so read
+  // without the lock the controller can look idle mid-restart.
+  while (!failed_.load(std::memory_order_acquire)) {
+    if (controller_->idle()) {
+      std::lock_guard<std::recursive_mutex> lk(mu_);
+      if (controller_->idle()) return;
+    }
     std::this_thread::yield();
+  }
 }
 
 void ProcEngine::wait_cycle_done() { wait_quiescent(); }
@@ -527,10 +533,8 @@ void ProcEngine::on_worker_lost(std::uint32_t worker) {
             worker, (unsigned)gen_, (unsigned)(gen_ + 1), s.pes.size(), live);
   DGR_TRACE_EVENT(trace_.get(), obs::EventType::kWorkerLost, Plane::kR, home,
                   worker, gen_ + 1);
-  recovering_.store(true, std::memory_order_release);
   repartition_onto_survivors();
   fence_and_restart();
-  recovering_.store(false, std::memory_order_release);
 }
 
 void ProcEngine::repartition_onto_survivors() {
@@ -673,20 +677,13 @@ void ProcEngine::collect_task_refs(std::vector<TaskRef>& out) {
     p->for_each([&](const Task& t) { out.push_back(TaskRef{t.s, t.d}); });
 }
 
-std::size_t ProcEngine::expunge_tasks(
-    const std::function<bool(const Task&)>& kill) {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
-  std::size_t n = 0;
-  for (const auto& p : pools_) n += p->expunge(kill);
-  return n;
-}
-
-std::size_t ProcEngine::reprioritize_tasks(
+TaskRestructure ProcEngine::restructure_tasks(
+    const std::function<bool(const Task&)>& kill,
     const std::function<std::uint8_t(const Task&)>& prio) {
   std::lock_guard<std::recursive_mutex> lk(mu_);
-  std::size_t n = 0;
-  for (const auto& p : pools_) n += p->reprioritize(prio);
-  return n;
+  TaskRestructure r;
+  for (const auto& p : pools_) r += p->restructure(kill, prio);
+  return r;
 }
 
 void ProcEngine::atomically(std::initializer_list<VertexId> /*vs*/,

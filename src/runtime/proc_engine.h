@@ -143,9 +143,8 @@ class ProcEngine final : public TaskSink, public EngineHooks {
 
   // ---- EngineHooks ----
   void collect_task_refs(std::vector<TaskRef>& out) override;
-  std::size_t expunge_tasks(
-      const std::function<bool(const Task&)>& kill) override;
-  std::size_t reprioritize_tasks(
+  TaskRestructure restructure_tasks(
+      const std::function<bool(const Task&)>& kill,
       const std::function<std::uint8_t(const Task&)>& prio) override;
   void quiesce_begin() override;
   void on_cycle_complete(const CycleResult& res) override;
@@ -280,7 +279,6 @@ class ProcEngine final : public TaskSink, public EngineHooks {
   // policy, which runs under the hub lock only (lock order: mu_ → hub).
   std::uint16_t gen_ = 0;
   std::atomic<std::uint64_t> dead_mask_{0};
-  std::atomic<bool> recovering_{false};
 
   // ---- Differential handoffs ----
   HandoffTracker tracker_;

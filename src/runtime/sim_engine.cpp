@@ -249,35 +249,31 @@ void SimEngine::collect_task_refs(std::vector<TaskRef>& out) {
     if (!task_is_marking(f.t.kind)) out.push_back(TaskRef{f.t.s, f.t.d});
 }
 
-std::size_t SimEngine::expunge_tasks(
-    const std::function<bool(const Task&)>& kill) {
-  std::size_t n = 0;
-  for (auto& p : pools_) n += p.expunge(kill);
+TaskRestructure SimEngine::restructure_tasks(
+    const std::function<bool(const Task&)>& kill,
+    const std::function<std::uint8_t(const Task&)>& prio) {
+  TaskRestructure r;
+  for (auto& p : pools_) r += p.restructure(kill, prio);
+  // In-flight reduction tasks: killed ones are swap-removed (the slot is
+  // re-examined), survivors take their new priority in place.
   for (std::size_t i = 0; i < flight_.size();) {
-    if (!task_is_marking(flight_[i].t.kind) && kill(flight_[i].t)) {
+    Task& t = flight_[i].t;
+    if (task_is_marking(t.kind)) {
+      ++i;
+    } else if (kill(t)) {
       flight_[i] = std::move(flight_.back());
       flight_.pop_back();
-      ++n;
+      ++r.expunged;
     } else {
+      const std::uint8_t p = prio(t);
+      if (p != t.pool_prior) {
+        t.pool_prior = p;
+        ++r.reprioritized;
+      }
       ++i;
     }
   }
-  return n;
-}
-
-std::size_t SimEngine::reprioritize_tasks(
-    const std::function<std::uint8_t(const Task&)>& prio) {
-  std::size_t n = 0;
-  for (auto& p : pools_) n += p.reprioritize(prio);
-  for (InFlight& f : flight_) {
-    if (task_is_marking(f.t.kind)) continue;
-    const std::uint8_t p = prio(f.t);
-    if (p != f.t.pool_prior) {
-      f.t.pool_prior = p;
-      ++n;
-    }
-  }
-  return n;
+  return r;
 }
 
 void SimEngine::maybe_check_invariants() {

@@ -129,9 +129,8 @@ class SimEngine final : public TaskSink, public EngineHooks {
 
   // ---- EngineHooks ----
   void collect_task_refs(std::vector<TaskRef>& out) override;
-  std::size_t expunge_tasks(
-      const std::function<bool(const Task&)>& kill) override;
-  std::size_t reprioritize_tasks(
+  TaskRestructure restructure_tasks(
+      const std::function<bool(const Task&)>& kill,
       const std::function<std::uint8_t(const Task&)>& prio) override;
 
  private:

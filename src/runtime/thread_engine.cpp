@@ -535,24 +535,15 @@ void ThreadEngine::collect_task_refs(std::vector<TaskRef>& out) {
   }
 }
 
-std::size_t ThreadEngine::expunge_tasks(
-    const std::function<bool(const Task&)>& kill) {
-  std::size_t n = 0;
-  for (PeId pe = 0; pe < g_.num_pes(); ++pe) {
-    std::lock_guard<std::mutex> lk(*pool_mu_[pe]);
-    n += pools_[pe]->expunge(kill);
-  }
-  return n;
-}
-
-std::size_t ThreadEngine::reprioritize_tasks(
+TaskRestructure ThreadEngine::restructure_tasks(
+    const std::function<bool(const Task&)>& kill,
     const std::function<std::uint8_t(const Task&)>& prio) {
-  std::size_t n = 0;
+  TaskRestructure r;
   for (PeId pe = 0; pe < g_.num_pes(); ++pe) {
     std::lock_guard<std::mutex> lk(*pool_mu_[pe]);
-    n += pools_[pe]->reprioritize(prio);
+    r += pools_[pe]->restructure(kill, prio);
   }
-  return n;
+  return r;
 }
 
 void ThreadEngine::enable_audit(AuditOptions opt) {

@@ -490,8 +490,9 @@ void SessionDriver::churn_session(const SessionEvent& ev) {
     }
     case ChurnOp::kInjectTask: {
       // A pending request task root → hot key: task-reachability workload
-      // for M_T; it turns irrelevant (and is expunged) when the session
-      // retires before a reply.
+      // for M_T. IRR' is keyed on the destination, and a hot key is always
+      // reachable, so the task is never expunged; on engines that execute
+      // no reduction tasks (Thread, Proc) it stays pooled for the run.
       eng_.inject(Task::request(root, hotv,
                                 ev.hot % 2 ? ReqKind::kVital
                                            : ReqKind::kEager));

@@ -1,11 +1,19 @@
 // Unit tests for the priority task pool (§3.2 item 1: vital tasks compete
-// with eager ones — the pool always serves the highest class), the per-PE
+// with eager ones — the pool always serves the highest class) and its
+// restructuring pass, checked against the erase-in-loop reference, the per-PE
 // mailbox (batch delivery / batch drain), and fuzz tests for the wire codec.
 #include <gtest/gtest.h>
+
+#include <deque>
+#include <functional>
+#include <map>
+#include <tuple>
+#include <vector>
 
 #include "net/mailbox.h"
 #include "net/wire.h"
 #include "runtime/pool.h"
+#include "runtime/sim_engine.h"
 
 namespace dgr {
 namespace {
@@ -37,9 +45,11 @@ TEST(TaskPool, FifoWithinBucketWithoutRng) {
 TEST(TaskPool, ExpungeByPredicate) {
   TaskPool p;
   for (std::uint32_t i = 0; i < 10; ++i) p.push(mk(1 + i % 3, i));
-  const std::size_t killed =
-      p.expunge([](const Task& t) { return t.d.idx % 2 == 0; });
-  EXPECT_EQ(killed, 5u);
+  const TaskRestructure r =
+      p.restructure([](const Task& t) { return t.d.idx % 2 == 0; },
+                    [](const Task& t) { return t.pool_prior; });
+  EXPECT_EQ(r.expunged, 5u);
+  EXPECT_EQ(r.reprioritized, 0u);
   EXPECT_EQ(p.size(), 5u);
   while (!p.empty()) EXPECT_EQ(p.pop().d.idx % 2, 1u);
 }
@@ -48,10 +58,12 @@ TEST(TaskPool, ReprioritizeMovesBuckets) {
   TaskPool p;
   for (std::uint32_t i = 0; i < 6; ++i) p.push(mk(1, i));
   // Every second task becomes vital.
-  const std::size_t moved = p.reprioritize(
+  const TaskRestructure r = p.restructure(
+      [](const Task&) { return false; },
       [](const Task& t) { return t.d.idx % 2 == 0 ? std::uint8_t{3}
                                                   : std::uint8_t{1}; });
-  EXPECT_EQ(moved, 3u);
+  EXPECT_EQ(r.expunged, 0u);
+  EXPECT_EQ(r.reprioritized, 3u);
   // Vital ones come out first now.
   EXPECT_EQ(p.pop().d.idx % 2, 0u);
   EXPECT_EQ(p.pop().d.idx % 2, 0u);
@@ -62,8 +74,206 @@ TEST(TaskPool, ReprioritizeMovesBuckets) {
 TEST(TaskPool, ReprioritizeStableWhenUnchanged) {
   TaskPool p;
   for (std::uint32_t i = 0; i < 4; ++i) p.push(mk(2, i));
-  EXPECT_EQ(p.reprioritize([](const Task&) { return std::uint8_t{2}; }), 0u);
+  EXPECT_EQ(p.restructure([](const Task&) { return false; },
+                          [](const Task&) { return std::uint8_t{2}; })
+                .reprioritized,
+            0u);
   for (std::uint32_t i = 0; i < 4; ++i) EXPECT_EQ(p.pop().d.idx, i);
+}
+
+// The erase-in-loop restructuring TaskPool used to run as two passes
+// (expunge, then reprioritize); kept here as the reference that the
+// single-pass TaskPool::restructure must match exactly.
+struct ReferencePool {
+  std::deque<Task> buckets[3];
+
+  static int bucket(std::uint8_t prior) {
+    if (prior >= 3) return 2;
+    if (prior == 2) return 1;
+    return 0;
+  }
+  void push(Task t) { buckets[bucket(t.pool_prior)].push_back(std::move(t)); }
+
+  std::size_t expunge(const std::function<bool(const Task&)>& kill) {
+    std::size_t n = 0;
+    for (auto& q : buckets) {
+      for (std::size_t i = 0; i < q.size();) {
+        if (kill(q[i])) {
+          q.erase(q.begin() + static_cast<std::ptrdiff_t>(i));
+          ++n;
+        } else {
+          ++i;
+        }
+      }
+    }
+    return n;
+  }
+
+  std::size_t reprioritize(
+      const std::function<std::uint8_t(const Task&)>& prio) {
+    std::size_t moved = 0;
+    std::deque<Task> moving;
+    for (int b = 0; b < 3; ++b) {
+      auto& q = buckets[b];
+      for (std::size_t i = 0; i < q.size();) {
+        const std::uint8_t p = prio(q[i]);
+        if (bucket(p) != b) {
+          Task t = std::move(q[i]);
+          t.pool_prior = p;
+          moving.push_back(std::move(t));
+          q.erase(q.begin() + static_cast<std::ptrdiff_t>(i));
+          ++moved;
+        } else {
+          q[i].pool_prior = p;
+          ++i;
+        }
+      }
+    }
+    for (Task& t : moving) buckets[bucket(t.pool_prior)].push_back(std::move(t));
+    return moved;
+  }
+};
+
+// A task's identity and everything restructuring may change.
+using TaskKey = std::tuple<std::uint32_t, std::uint32_t, std::uint8_t>;
+
+std::vector<TaskKey> contents(const TaskPool& p) {
+  std::vector<TaskKey> out;
+  p.for_each([&](const Task& t) {
+    out.emplace_back(t.d.idx, t.s.idx, t.pool_prior);
+  });
+  return out;
+}
+
+std::vector<TaskKey> contents(const ReferencePool& p) {
+  std::vector<TaskKey> out;
+  for (const auto& q : p.buckets)
+    for (const Task& t : q) out.emplace_back(t.d.idx, t.s.idx, t.pool_prior);
+  return out;
+}
+
+TEST(TaskPool, RestructureMatchesEraseInLoopReference) {
+  Rng rng(14);
+  std::vector<std::uint32_t> sizes = {0, 1, 2, 5000};
+  for (int i = 0; i < 40; ++i)
+    sizes.push_back(static_cast<std::uint32_t>(rng.below(5001)));
+  for (const std::uint32_t n : sizes) {
+    SCOPED_TRACE(n);
+    // Per-trial rates, so some trials kill or move nothing and some nearly
+    // everything. Priorities range over 0..4: bucket 0 holds 0 and 1, bucket
+    // 2 holds 3 and 4, so a task can change priority without moving.
+    const double p_kill = rng.chance(0.2) ? 0.0 : rng.uniform01();
+    const double p_move = rng.chance(0.2) ? 0.0 : rng.uniform01();
+    std::vector<bool> kill(n);
+    std::vector<std::uint8_t> prio(n);
+    TaskPool pool;
+    ReferencePool ref;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      Task t = mk(static_cast<std::uint8_t>(rng.below(5)), i);
+      t.s = VertexId{1, static_cast<std::uint32_t>(rng.below(1000))};
+      kill[i] = rng.chance(p_kill);
+      prio[i] = rng.chance(p_move) ? static_cast<std::uint8_t>(rng.below(5))
+                                   : t.pool_prior;
+      pool.push(t);
+      ref.push(t);
+    }
+    auto killf = [&](const Task& t) { return static_cast<bool>(kill[t.d.idx]); };
+    auto priof = [&](const Task& t) { return prio[t.d.idx]; };
+
+    const TaskRestructure r = pool.restructure(killf, priof);
+    const std::size_t ref_expunged = ref.expunge(killf);
+    const std::size_t ref_moved = ref.reprioritize(priof);
+
+    EXPECT_EQ(r.expunged, ref_expunged);
+    EXPECT_EQ(r.reprioritized, ref_moved);
+    EXPECT_EQ(pool.size(), n - ref_expunged);
+    ASSERT_EQ(contents(pool), contents(ref));
+    // Bucket boundaries too: popping serves the buckets in the same order.
+    for (int b = 2; b >= 0; --b)
+      for (const Task& t : ref.buckets[b]) {
+        ASSERT_FALSE(pool.empty());
+        EXPECT_EQ(pool.pop().d.idx, t.d.idx);
+      }
+    EXPECT_TRUE(pool.empty());
+  }
+}
+
+// SimEngine's hook covers its pools and the reduction tasks still in flight
+// between PEs; the fused pass must do to both exactly what an expunge pass
+// followed by a reprioritize pass did.
+TEST(SimRestructure, FusedHookCoversPooledAndInFlightTasks) {
+  Graph g(2);
+  SimOptions opt;
+  opt.max_latency = 1000;  // PE 0 → PE 1 tasks stay in flight until a step
+  SimEngine sim(g, opt);
+  Rng rng(7);
+  constexpr std::uint32_t kTasks = 600;
+  std::vector<bool> kill(kTasks);
+  std::vector<std::uint8_t> prio(kTasks);
+  std::vector<Task> pooled, flying;  // what the engine holds, in its order
+  for (std::uint32_t i = 0; i < kTasks; ++i) {
+    // Spawned outside any task execution, from PE 0: PE-0 destinations
+    // pool at once, PE-1 destinations go in flight.
+    const PeId pe = static_cast<PeId>(rng.below(2));
+    Task t = Task::request(VertexId{0, 100000 + i}, VertexId{pe, i},
+                           rng.chance(0.5) ? ReqKind::kVital
+                                           : ReqKind::kEager);
+    kill[i] = rng.chance(0.3);
+    prio[i] = static_cast<std::uint8_t>(1 + rng.below(3));
+    (pe == 0 ? pooled : flying).push_back(t);
+    sim.spawn(t);
+  }
+  ASSERT_EQ(sim.in_flight(), flying.size());
+  ASSERT_EQ(sim.pool(0).size(), pooled.size());
+
+  // Reference: expunge (the pool erase-in-loop; in flight swap-with-back),
+  // then reprioritize the survivors.
+  auto killf = [&](const Task& t) { return static_cast<bool>(kill[t.d.idx]); };
+  auto priof = [&](const Task& t) { return prio[t.d.idx]; };
+  ReferencePool ref;
+  for (const Task& t : pooled) ref.push(t);
+  std::size_t want_expunged = ref.expunge(killf);
+  std::size_t want_reprioritized = ref.reprioritize(priof);
+  for (std::size_t i = 0; i < flying.size();) {
+    if (killf(flying[i])) {
+      flying[i] = flying.back();
+      flying.pop_back();
+      ++want_expunged;
+    } else {
+      ++i;
+    }
+  }
+  for (Task& t : flying) {
+    const std::uint8_t p = priof(t);
+    if (p != t.pool_prior) ++want_reprioritized;
+    t.pool_prior = p;
+  }
+
+  const TaskRestructure r = sim.restructure_tasks(killf, priof);
+  EXPECT_EQ(r.expunged, want_expunged);
+  EXPECT_EQ(r.reprioritized, want_reprioritized);
+  EXPECT_EQ(contents(sim.pool(0)), contents(ref));
+  EXPECT_TRUE(sim.pool(1).empty());
+
+  // collect_task_refs lists the pools, then the in-flight tasks in order.
+  std::vector<TaskRef> refs;
+  sim.collect_task_refs(refs);
+  ASSERT_EQ(refs.size(), contents(ref).size() + flying.size());
+  const std::size_t off = contents(ref).size();
+  for (std::size_t i = 0; i < flying.size(); ++i) {
+    EXPECT_EQ(refs[off + i].d, flying[i].d);
+    EXPECT_EQ(refs[off + i].s, flying[i].s);
+  }
+
+  // Deliver and execute everything: each surviving in-flight task arrives
+  // with its new priority.
+  std::map<std::uint32_t, std::uint8_t> executed;
+  sim.set_reducer([&](const Task& t) {
+    if (t.d.pe == 1) executed[t.d.idx] = t.pool_prior;
+  });
+  sim.run();
+  ASSERT_EQ(executed.size(), flying.size());
+  for (const Task& t : flying) EXPECT_EQ(executed[t.d.idx], t.pool_prior);
 }
 
 TEST(TaskPool, RandomPopIsSeedDeterministic) {

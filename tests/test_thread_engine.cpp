@@ -153,12 +153,20 @@ TEST(ThreadEngine, ConcurrentMutationsDoNotLoseReachableVertices) {
     }
     return v;
   };
+  // Mutations race the marking wave only. One that reached the gate after
+  // the cycle ended would have no marking to cooperate with, and its fresh
+  // vertex would be reachable yet unmarked at the final check.
+  auto during_cycle = [&](std::initializer_list<VertexId> vs, auto fn) {
+    eng.atomically(vs, [&] {
+      if (!eng.controller().idle()) fn();
+    });
+  };
   int mutations = 0;
   while (!eng.controller().idle() && mutations < 2000) {
     const VertexId a = sample();
     switch (rng.below(3)) {
       case 0: {
-        eng.atomically({a}, [&] {
+        during_cycle({a}, [&] {
           Vertex& va = g.at(a);
           if (!va.args.empty())
             eng.mutator().delete_reference(a, va.args[0].to);
@@ -173,7 +181,7 @@ TEST(ThreadEngine, ConcurrentMutationsDoNotLoseReachableVertices) {
         if (!bb.valid() || g.is_free(bb) || g.at(bb).args.empty()) break;
         const VertexId c = g.at(bb).args[0].to;
         if (!c.valid() || g.is_free(c)) break;
-        eng.atomically({a, bb, c}, [&] {
+        during_cycle({a, bb, c}, [&] {
           // Revalidate under the locks.
           if (g.is_free(a) || g.is_free(bb) || g.is_free(c)) return;
           if (g.at(a).arg_index(bb) < 0 || g.at(bb).arg_index(c) < 0) return;
@@ -182,9 +190,13 @@ TEST(ThreadEngine, ConcurrentMutationsDoNotLoseReachableVertices) {
         break;
       }
       case 2: {
-        const VertexId f = g.alloc(a.pe, OpCode::kData);
-        if (!f.valid()) break;  // store full
-        eng.atomically({a, f}, [&] {
+        // Allocate inside the atomic section, like every mutator: outside
+        // the mutation gate the cycle's sweep could free the fresh vertex
+        // (unmarked, unattached) before it is attached.
+        during_cycle({a}, [&] {
+          if (g.is_free(a)) return;
+          const VertexId f = g.alloc(a.pe, OpCode::kData);
+          if (!f.valid()) return;  // store full
           const VertexId fresh[] = {f};
           eng.mutator().expand_node(a, fresh);
           eng.mutator().add_reference_via(

@@ -183,10 +183,10 @@ class HubRig {
     return socket_connect(addr, 2000);
   }
 
-  // Register over `s`; returns the reply frame (ack or reject).
-  static NetFrame do_register(Socket& s, std::uint32_t index,
-                              std::uint32_t version = kProtoVersion,
-                              std::uint32_t flags = 0) {
+  // Send a registration for `index` over `s` without waiting for the reply.
+  static void send_register(Socket& s, std::uint32_t index,
+                            std::uint32_t version = kProtoVersion,
+                            std::uint32_t flags = 0) {
     RegisterMsg reg;
     reg.proto_version = version;
     reg.worker_index = index;
@@ -196,6 +196,13 @@ class HubRig {
     rf.payload = encode_register(reg);
     const auto wire = encode_frame(rf);
     EXPECT_TRUE(s.write_all(wire.data(), wire.size()));
+  }
+
+  // Register over `s`; returns the reply frame (ack or reject).
+  static NetFrame do_register(Socket& s, std::uint32_t index,
+                              std::uint32_t version = kProtoVersion,
+                              std::uint32_t flags = 0) {
+    send_register(s, index, version, flags);
     return read_frame(s);
   }
 
@@ -228,6 +235,41 @@ TEST(SocketHub, RegistrationAckCarriesConfig) {
   EXPECT_EQ(ack.config.pe_begin, 2u);
   EXPECT_EQ(ack.config.pe_count, 2u);
   EXPECT_TRUE(rig.hub().wait_workers(1, 1000));
+}
+
+// A worker must read its ack before any frame the controller sends once the
+// slot is visible (ProcEngine sends a clock probe as soon as wait_workers
+// returns). Each round sends the first frame the moment the slot appears.
+TEST(SocketHub, AckPrecedesFramesSentOnceSlotIsVisible) {
+  constexpr std::uint32_t kRounds = 64;
+  HubRig rig(/*num_workers=*/kRounds, /*pes_per=*/1);
+  std::vector<Socket> conns;
+  for (std::uint32_t w = 0; w < kRounds; ++w) {
+    conns.push_back(rig.connect());
+    Socket& s = conns.back();
+    ASSERT_TRUE(s.valid());
+    HubRig::send_register(s, w);
+    while (rig.hub().workers_connected() <= w) std::this_thread::yield();
+    NetFrame probe;
+    probe.type = FrameType::kClockProbe;
+    rig.hub().send_to_worker(w, probe);
+    // One codec for both frames: they may arrive in one read.
+    FrameCodec codec;
+    std::vector<FrameType> got;
+    std::uint8_t buf[4096];
+    NetFrame f;
+    while (got.size() < 2) {
+      if (codec.next(f)) {
+        got.push_back(f.type);
+        continue;
+      }
+      const long n = s.read_some(buf, sizeof(buf));
+      ASSERT_GT(n, 0);
+      codec.feed(buf, static_cast<std::size_t>(n));
+    }
+    ASSERT_EQ(got[0], FrameType::kRegisterAck) << "round " << w;
+    ASSERT_EQ(got[1], FrameType::kClockProbe);
+  }
 }
 
 TEST(SocketHub, PolicyRejectionIsDelivered) {
