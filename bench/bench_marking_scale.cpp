@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "bench/bench_common.h"
+#include "runtime/proc_engine.h"
 #include "runtime/thread_engine.h"
 
 namespace dgr::bench {
@@ -72,10 +73,10 @@ void table() {
 //   - NOT CPU-time based (kIsRate): the benchmark thread mostly condvar-waits
 //     for the PE threads, so its CPU time made slower engines look faster,
 //     inverting the 2-PE cliff in the recorded baselines.
-std::uint64_t count_marked(const Graph& g, ThreadEngine& eng) {
+std::uint64_t count_marked(const Graph& g, const Marker& m) {
   std::uint64_t marked = 0;
   g.for_each_live([&](VertexId v) {
-    if (eng.marker().is_marked(Plane::kR, v)) ++marked;
+    if (m.is_marked(Plane::kR, v)) ++marked;
   });
   return marked;
 }
@@ -105,7 +106,7 @@ void BM_ThreadedCycle(benchmark::State& state) {
   // = the final cycle's marked count × iterations.
   state.counters["marks/s"] =
       wall_s > 0.0
-          ? static_cast<double>(count_marked(g, eng)) *
+          ? static_cast<double>(count_marked(g, eng.marker())) *
                 static_cast<double>(state.iterations()) / wall_s
           : 0.0;
   state.counters["boundary_dedup"] = double(eng.stats().boundary_dedup);
@@ -146,7 +147,7 @@ void BM_ThreadedCycleNoBatch(benchmark::State& state) {
   // Same wall-clock, marked-vertex rate as BM_ThreadedCycle (see above).
   state.counters["marks/s"] =
       wall_s > 0.0
-          ? static_cast<double>(count_marked(g, eng)) *
+          ? static_cast<double>(count_marked(g, eng.marker())) *
                 static_cast<double>(state.iterations()) / wall_s
           : 0.0;
   report_obs_counters(state, eng.metrics_registry());
@@ -154,6 +155,42 @@ void BM_ThreadedCycleNoBatch(benchmark::State& state) {
       double(eng.stats().mailbox_high_water);
 }
 BENCHMARK(BM_ThreadedCycleNoBatch)->Arg(4)->Arg(8)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// The same cycle on ProcEngine: one dgr_worker process per PE (Unix-domain
+// socket), marks crossing the controller hub in kData batches. Worker launch,
+// registration and the first full handoff happen before the timed loop.
+void BM_ProcCycle(benchmark::State& state) {
+  const auto workers = static_cast<std::uint32_t>(state.range(0));
+  Graph g = make_graph(workers, 1 << 15, 7);  // full-size: see BM_ThreadedCycle
+  ProcOptions opt;
+  opt.workers = workers;
+  opt.worker_bin = DGR_WORKER_BIN_PATH;
+  ProcEngine eng(g, opt);
+  eng.set_root(root_of(g));
+  eng.start();
+  CycleOptions copt;
+  copt.detect_deadlock = false;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    eng.controller().start_cycle(copt);
+    eng.wait_cycle_done();
+  }
+  const double wall_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  // Same wall-clock, marked-vertex rate as BM_ThreadedCycle (see above).
+  state.counters["marks/s"] =
+      wall_s > 0.0
+          ? static_cast<double>(count_marked(g, eng.marker())) *
+                static_cast<double>(state.iterations()) / wall_s
+          : 0.0;
+  state.counters["relayed_frames"] =
+      double(eng.stats().transport.frames_relayed);
+  report_obs_counters(state, eng.metrics());
+  eng.stop();
+}
+BENCHMARK(BM_ProcCycle)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // The deterministic simulator's cycle cost for the same family, as a

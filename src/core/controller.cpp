@@ -30,8 +30,8 @@ VertexId Controller::marking_root() {
 void Controller::prewarm_aux_roots() {
   for (PeId pe = 0; pe < g_.num_pes(); ++pe) g_.store(pe).taskroot();
   if (!troot_.valid()) troot_ = g_.store(0).make_aux(OpCode::kTRoot);
-  if (roots_.size() > 1 && !uroot_.valid())
-    uroot_ = g_.store(0).make_aux(OpCode::kTRoot);
+  if (!uroot_.valid()) uroot_ = g_.store(0).make_aux(OpCode::kTRoot);
+  marker_.prewarm_rescue_roots();
 }
 
 void Controller::start_cycle(const CycleOptions& opt) {

@@ -137,10 +137,12 @@ class Controller {
   // per cycle); aborts on the first reachable vertex about to be freed.
   void set_paranoid_sweep_check(bool on) { paranoid_ = on; }
 
-  // Create the auxiliary roots (per-PE taskroots, troot, uroot) up front.
-  // The threaded engine needs this before start(): aux roots are otherwise
-  // allocated lazily during the first cycle, and growing a store's slot
-  // vector while PE threads read it would be a reallocation race.
+  // Create the auxiliary roots (per-PE taskroots, troot, uroot, the
+  // marker's rescue roots) up front. The threaded engine needs this before
+  // start(): aux roots are otherwise allocated lazily during a cycle, on
+  // whichever PE thread ends M_T or a wave, while mutator threads allocate
+  // from the same store. The uroot is minted even for a single root, since
+  // set_roots may add more while PE threads run.
   void prewarm_aux_roots();
 
   // Observability: emit cycle / phase / restructuring events into `t`

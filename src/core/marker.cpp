@@ -14,7 +14,7 @@ void Marker::begin(Plane plane, VertexId root, std::uint8_t root_prior) {
   ps.done = false;
   ps.tainted = false;
   ps.stats.reset();
-  ps.rescue_q.clear();
+  clear_rescues(plane);
   ps.rescue_waves = 0;
   // "Marking is started by spawning the task mark1(root, rootpar)" (§4.1).
   sink_.spawn(Task::mark(plane, root, VertexId::rootpar(), root_prior));
@@ -182,22 +182,38 @@ void Marker::open_count(Plane plane, VertexId v, std::uint32_t n) {
 void Marker::rescue(Plane plane, VertexId v, std::uint8_t prior) {
   PlaneState& ps = st(plane);
   if (!ps.active) return;
+  std::lock_guard<std::mutex> lk(rescue_mu(plane));
   ps.rescue_q.emplace_back(v, prior);
 }
 
 bool Marker::is_rescue_queued(Plane plane, VertexId v) const {
   const PlaneState& ps = st(plane);
+  std::lock_guard<std::mutex> lk(rescue_mu(plane));
   for (const auto& [r, p] : ps.rescue_q)
     if (r == v) return true;
   return false;
 }
 
+void Marker::mint_rescue_root(PlaneState& ps) {
+  if (!ps.rescue_root.valid())
+    ps.rescue_root = g_.store(0).make_aux(OpCode::kTaskRoot);
+}
+
+void Marker::prewarm_rescue_roots() {
+  for (PlaneState& ps : state_) mint_rescue_root(ps);
+}
+
 bool Marker::launch_rescue_wave(Plane plane) {
   PlaneState& ps = st(plane);
   DGR_CHECK_MSG(ps.done, "rescue wave launched before the main wave ended");
+  std::vector<std::pair<VertexId, std::uint8_t>> queued;
+  {
+    std::lock_guard<std::mutex> lk(rescue_mu(plane));
+    queued.swap(ps.rescue_q);
+  }
   // Keep only entries that still need marking.
   std::vector<std::pair<VertexId, std::uint8_t>> pending;
-  for (const auto& [v, prior] : ps.rescue_q) {
+  for (const auto& [v, prior] : queued) {
     // Re-marking with a higher priority is also a rescue concern: mark2's
     // upgrade path needs a live wave to run in.
     const Color c = color(plane, v);
@@ -206,11 +222,9 @@ bool Marker::launch_rescue_wave(Plane plane) {
          (plane == Plane::kR && this->prior(plane, v) < prior)))
       pending.emplace_back(v, prior);
   }
-  ps.rescue_q.clear();
   if (pending.empty()) return false;
 
-  if (!ps.rescue_root.valid())
-    ps.rescue_root = g_.store(0).make_aux(OpCode::kTaskRoot);
+  mint_rescue_root(ps);
   // The rescue root is re-touched as a transient holder of one open count
   // per seed; its collapse re-raises `done` through rootpar as usual.
   Vertex& rr = g_.at(ps.rescue_root);

@@ -19,6 +19,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 
 #include "core/task.h"
 #include "graph/graph.h"
@@ -109,7 +110,7 @@ class Marker {
     ps.done = false;
     ps.tainted = false;
     ps.stats.reset();
-    ps.rescue_q.clear();
+    clear_rescues(plane);
   }
 
   // Worker side: a controller rescue wave reopens the plane; its seeds then
@@ -159,7 +160,7 @@ class Marker {
     ps.active = false;
     ps.done = false;
     ps.tainted = false;
-    ps.rescue_q.clear();
+    clear_rescues(plane);
   }
 
   // Execute a kMark / kMarkReturn task (engine dispatch).
@@ -222,10 +223,15 @@ class Marker {
   // the still-unmarked queued vertices, repeating until no rescues remain.
   // Each wave reuses the plane's epoch and the rootpar termination exactly
   // like the main wave, so correctness arguments carry over unchanged.
+  // The queue has its own lock: mutators on disjoint stripes queue rescues
+  // concurrently, and a PE thread may launch a wave at the same time.
   void rescue(Plane plane, VertexId v, std::uint8_t prior = 1);
   bool is_rescue_queued(Plane plane, VertexId v) const;
   // Returns true if a supplementary wave was launched (plane reopened).
   bool launch_rescue_wave(Plane plane);
+  // Mint both planes' rescue roots now rather than at the first rescue
+  // wave (Controller::prewarm_aux_roots).
+  void prewarm_rescue_roots();
   // Atomic so the ThreadEngine watchdog can sample it concurrently.
   std::uint64_t rescue_waves(Plane plane) const {
     return st(plane).rescue_waves.load(std::memory_order_relaxed);
@@ -245,13 +251,21 @@ class Marker {
     std::atomic<bool> done{false};
     std::atomic<bool> tainted{false};
     MarkStats stats;
-    std::vector<std::pair<VertexId, std::uint8_t>> rescue_q;
+    std::vector<std::pair<VertexId, std::uint8_t>> rescue_q;  // rescue_mu_
     VertexId rescue_root = VertexId::invalid();
     std::atomic<std::uint64_t> rescue_waves{0};
   };
 
   PlaneState& st(Plane p) { return state_[static_cast<int>(p)]; }
   const PlaneState& st(Plane p) const { return state_[static_cast<int>(p)]; }
+  std::mutex& rescue_mu(Plane p) const {
+    return rescue_mu_[static_cast<int>(p)];
+  }
+  void clear_rescues(Plane p) {
+    std::lock_guard<std::mutex> lk(rescue_mu(p));
+    st(p).rescue_q.clear();
+  }
+  void mint_rescue_root(PlaneState& ps);
 
   // Lazily reset a vertex's plane record to the current epoch.
   MarkPlane& fresh(Vertex& v, Plane plane) {
@@ -282,6 +296,9 @@ class Marker {
   std::function<void(Plane)> done_cb_;
   RescueSeedHook rescue_seed_hook_;
   obs::TraceBuffer* trace_ = nullptr;
+  // One per plane, guarding its rescue_q. Kept out of PlaneState, whose
+  // fields every mark task reads, to leave their cache-line placement alone.
+  mutable std::mutex rescue_mu_[2];
 };
 
 }  // namespace dgr

@@ -12,6 +12,13 @@ void put_u32(std::vector<std::uint8_t>& b, std::uint32_t v) {
   b.push_back(static_cast<std::uint8_t>(v >> 24));
 }
 
+void set_u32(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
+  p[2] = static_cast<std::uint8_t>(v >> 16);
+  p[3] = static_cast<std::uint8_t>(v >> 24);
+}
+
 std::uint32_t get_u32(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) |
          (static_cast<std::uint32_t>(p[1]) << 8) |
@@ -47,16 +54,64 @@ const char* frame_type_name(FrameType t) {
 std::vector<std::uint8_t> encode_frame(const NetFrame& f) {
   std::vector<std::uint8_t> b;
   b.reserve(kFrameHeaderSize + f.payload.size());
-  put_u32(b, kFrameMagic);
-  b.push_back(kFrameVersion);
-  b.push_back(static_cast<std::uint8_t>(f.type));
-  b.push_back(static_cast<std::uint8_t>(f.gen));
-  b.push_back(static_cast<std::uint8_t>(f.gen >> 8));
-  put_u32(b, f.src);
-  put_u32(b, f.dst);
-  put_u32(b, static_cast<std::uint32_t>(f.payload.size()));
+  open_frame(b, f.type, f.gen, f.src, f.dst);
   b.insert(b.end(), f.payload.begin(), f.payload.end());
+  seal_frame(b, 0);
   return b;
+}
+
+std::size_t open_frame(std::vector<std::uint8_t>& wire, FrameType type,
+                       std::uint16_t gen, PeId src, PeId dst) {
+  const std::size_t at = wire.size();
+  put_u32(wire, kFrameMagic);
+  wire.push_back(kFrameVersion);
+  wire.push_back(static_cast<std::uint8_t>(type));
+  wire.push_back(static_cast<std::uint8_t>(gen));
+  wire.push_back(static_cast<std::uint8_t>(gen >> 8));
+  put_u32(wire, src);
+  put_u32(wire, dst);
+  put_u32(wire, 0);  // payload length, patched by seal_frame
+  return at;
+}
+
+void seal_frame(std::vector<std::uint8_t>& wire, std::size_t at) {
+  set_u32(wire.data() + at + 16,
+          static_cast<std::uint32_t>(wire.size() - at - kFrameHeaderSize));
+}
+
+std::size_t batch_open(std::vector<std::uint8_t>& batch) {
+  const std::size_t at = batch.size();
+  put_u32(batch, 0);  // patched by batch_close
+  return at;
+}
+
+void batch_close(std::vector<std::uint8_t>& batch, std::size_t at) {
+  set_u32(batch.data() + at,
+          static_cast<std::uint32_t>(batch.size() - at - kBatchPrefixSize));
+}
+
+void batch_append(std::vector<std::uint8_t>& batch,
+                  std::span<const std::uint8_t> msg) {
+  put_u32(batch, static_cast<std::uint32_t>(msg.size()));
+  batch.insert(batch.end(), msg.begin(), msg.end());
+}
+
+bool batch_split(std::span<const std::uint8_t> batch,
+                 std::vector<std::span<const std::uint8_t>>& out) {
+  out.clear();
+  std::size_t pos = 0;
+  while (pos < batch.size()) {
+    const std::size_t left = batch.size() - pos;
+    const std::uint32_t len =
+        left < kBatchPrefixSize ? 0 : get_u32(batch.data() + pos);
+    if (left < kBatchPrefixSize || left - kBatchPrefixSize < len) {
+      out.clear();
+      return false;
+    }
+    out.push_back(batch.subspan(pos + kBatchPrefixSize, len));
+    pos += kBatchPrefixSize + len;
+  }
+  return true;
 }
 
 void FrameCodec::feed(const std::uint8_t* p, std::size_t n) {

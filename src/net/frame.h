@@ -19,9 +19,21 @@
 // bumps partial_resumes (exported as TransportStats::partial_read_resumes).
 // Bad magic, unknown version, or an oversized payload is a sticky error:
 // the stream is unframed garbage and the connection must drop.
+//
+// A kData payload is a batch of messages, each prefixed by its length:
+//
+//   repeat { u32 LE length n; n message bytes }
+//
+// WorkerEngine stages one batch per destination PE and SocketTransport sends
+// one per send_batch, so kData means the same on every hub. The hub routes a
+// batch by dst without opening it; the receiver splits it and handles each
+// message as if it had arrived alone. A length running past the end, or a
+// tail too short for a length, makes the batch malformed: a protocol error,
+// like a malformed frame.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/ids.h"
@@ -73,6 +85,30 @@ struct NetFrame {
 
 // Serialize header + payload into one contiguous buffer.
 std::vector<std::uint8_t> encode_frame(const NetFrame& f);
+
+// Build a frame in place: open_frame appends a header with a zero payload
+// length to `wire` and returns its offset; append the payload after it, then
+// seal_frame patches the length in.
+std::size_t open_frame(std::vector<std::uint8_t>& wire, FrameType type,
+                       std::uint16_t gen, PeId src, PeId dst);
+void seal_frame(std::vector<std::uint8_t>& wire, std::size_t at);
+
+// ---- kData batches (format above) ----
+
+inline constexpr std::size_t kBatchPrefixSize = 4;
+
+// Open a message at the end of a batch: reserves its length prefix and
+// returns the offset to hand to batch_close once its bytes are appended.
+std::size_t batch_open(std::vector<std::uint8_t>& batch);
+void batch_close(std::vector<std::uint8_t>& batch, std::size_t at);
+void batch_append(std::vector<std::uint8_t>& batch,
+                  std::span<const std::uint8_t> msg);
+
+// Replace `out` with views of the batch's messages, in order (no copies: the
+// views point into `batch`). Returns false, with `out` empty, when the batch
+// is malformed.
+bool batch_split(std::span<const std::uint8_t> batch,
+                 std::vector<std::span<const std::uint8_t>>& out);
 
 // Incremental frame reassembler for one connection's byte stream.
 class FrameCodec {

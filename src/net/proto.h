@@ -28,7 +28,9 @@
 
 namespace dgr {
 
-inline constexpr std::uint32_t kProtoVersion = 1;
+// 2: kData payloads are length-prefixed message batches (net/frame.h). A
+// version-1 worker would misread them, so the hub refuses it at kRegister.
+inline constexpr std::uint32_t kProtoVersion = 2;
 // kRegister flag bits.
 inline constexpr std::uint32_t kRegisterFlagReconnect = 1u << 0;
 // "Assign me any free slot" worker index in a kRegister payload.

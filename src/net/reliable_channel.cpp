@@ -51,8 +51,7 @@ std::vector<std::uint8_t> encode_frame(const ChannelFrame& f) {
   return out;
 }
 
-std::optional<ChannelFrame> try_decode_frame(
-    const std::vector<std::uint8_t>& bytes) {
+std::optional<ChannelFrame> try_decode_frame(ByteSpan bytes) {
   // type(1) + src(4) + dst(4) + seq(8) + ack(8) + count(4) + checksum(8)
   constexpr std::size_t kMinFrame = 37;
   if (bytes.size() < kMinFrame) return std::nullopt;
@@ -244,7 +243,7 @@ void ChannelManager::flush(PeId pe, std::uint64_t now_us) {
 }
 
 std::vector<ChannelManager::Bytes> ChannelManager::on_frame(
-    PeId pe, const Bytes& frame, std::uint64_t now_us) {
+    PeId pe, std::span<const std::uint8_t> frame, std::uint64_t now_us) {
   std::optional<ChannelFrame> f = try_decode_frame(frame);
   if (!f) {
     // Count the error against the receiving PE's self-channel: garbage

@@ -44,6 +44,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "graph/ids.h"
@@ -78,7 +79,7 @@ struct ChannelFrame {
 std::vector<std::uint8_t> encode_frame(const ChannelFrame& f);
 // nullopt on truncated input or checksum mismatch — never aborts.
 std::optional<ChannelFrame> try_decode_frame(
-    const std::vector<std::uint8_t>& bytes);
+    std::span<const std::uint8_t> bytes);
 
 class ChannelManager {
  public:
@@ -126,7 +127,7 @@ class ChannelManager {
   // Receiver side: feed one raw frame that arrived at `pe`. Returns the
   // payloads newly deliverable in order (possibly none: out-of-order data,
   // duplicate, ack, or garbage). Acks are replied/processed internally.
-  std::vector<Bytes> on_frame(PeId pe, const Bytes& frame,
+  std::vector<Bytes> on_frame(PeId pe, std::span<const std::uint8_t> frame,
                               std::uint64_t now_us);
 
   // Timers for PE `pe`: retransmits for channels it sends on, plus (batched

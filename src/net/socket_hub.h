@@ -17,8 +17,10 @@
 // previously registered slot after its connection dropped.
 //
 // Routing: kData frames are forwarded to the peer owning the frame's dst
-// endpoint (ownership is declared by the accept decision's config). Every
-// other frame type is surfaced to the control handler.
+// endpoint (ownership is declared by the accept decision's config). A kData
+// frame is a batch of messages for that one endpoint (net/frame.h); the hub
+// never opens it, so relay counters count batches. Every other frame type is
+// surfaced to the control handler.
 #pragma once
 
 #include <condition_variable>

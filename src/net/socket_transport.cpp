@@ -81,7 +81,9 @@ void SocketTransport::client_reader(PeId pe) {
   Client& c = *clients_[pe];
   FrameCodec codec;
   std::uint8_t buf[64 * 1024];
-  for (;;) {
+  std::vector<std::span<const std::uint8_t>> msgs;
+  bool malformed = false;
+  while (!malformed) {
     const long n = c.sock.read_some(buf, sizeof(buf));
     if (n <= 0) break;
     codec.feed(buf, static_cast<std::size_t>(n));
@@ -90,15 +92,18 @@ void SocketTransport::client_reader(PeId pe) {
       c.frames_in.fetch_add(1, std::memory_order_relaxed);
       c.bytes_in.fetch_add(kFrameHeaderSize + f.payload.size(),
                            std::memory_order_relaxed);
-      switch (f.type) {
-        case FrameType::kRegisterAck:
-          break;  // hub-side wait_workers observes registration
-        case FrameType::kData:
-          inbox_[pe]->deliver(std::move(f.payload));
-          break;
-        default:
-          break;  // control frames have no meaning on a loopback endpoint
+      // Control frames have no meaning on a loopback endpoint; the
+      // hub-side wait_workers observes registration.
+      if (f.type != FrameType::kData) continue;
+      if (!batch_split(f.payload, msgs)) {
+        malformed = true;  // protocol error: stop reading this connection
+        break;
       }
+      std::vector<Bytes> out;
+      out.reserve(msgs.size());
+      for (std::span<const std::uint8_t> m : msgs)
+        out.emplace_back(m.begin(), m.end());
+      inbox_[pe]->deliver_batch(std::move(out));
     }
     if (codec.error()) break;
     c.partial_resumes.store(codec.partial_resumes(),
@@ -107,24 +112,18 @@ void SocketTransport::client_reader(PeId pe) {
   c.partial_resumes.store(codec.partial_resumes(), std::memory_order_relaxed);
 }
 
-void SocketTransport::write_frames(PeId src, PeId dst,
-                                   std::vector<Bytes>&& msgs) {
+void SocketTransport::write_batch(PeId src, PeId dst,
+                                  std::span<const Bytes> msgs) {
   Client& c = *clients_[src];
-  // One contiguous buffer per call: a batch crosses the kernel in one
-  // write_all, and concurrent senders on this connection stay serialized.
+  // One kData frame per call: the batch crosses the kernel in one write_all,
+  // and concurrent senders on this connection stay serialized.
   std::vector<std::uint8_t> wire;
-  for (Bytes& m : msgs) {
-    NetFrame f;
-    f.type = FrameType::kData;
-    f.src = src;
-    f.dst = dst;
-    f.payload = std::move(m);
-    const auto bytes = encode_frame(f);
-    wire.insert(wire.end(), bytes.begin(), bytes.end());
-  }
+  open_frame(wire, FrameType::kData, 0, src, dst);
+  for (const Bytes& m : msgs) batch_append(wire, m);
+  seal_frame(wire, 0);
   {
     std::lock_guard<std::mutex> lk(stats_mu_);
-    local_.frames_sent += msgs.size();
+    ++local_.frames_sent;
     local_.bytes_sent += wire.size();
   }
   std::lock_guard<std::mutex> lk(c.write_mu);
@@ -136,9 +135,7 @@ void SocketTransport::send(PeId src, PeId dst, Bytes msg) {
     inbox_[dst]->deliver(std::move(msg));
     return;
   }
-  std::vector<Bytes> one;
-  one.push_back(std::move(msg));
-  write_frames(src, dst, std::move(one));
+  write_batch(src, dst, {&msg, 1});
 }
 
 void SocketTransport::send_batch(PeId src, PeId dst, std::vector<Bytes> msgs) {
@@ -147,7 +144,7 @@ void SocketTransport::send_batch(PeId src, PeId dst, std::vector<Bytes> msgs) {
     inbox_[dst]->deliver_batch(std::move(msgs));
     return;
   }
-  write_frames(src, dst, std::move(msgs));
+  write_batch(src, dst, msgs);
 }
 
 std::size_t SocketTransport::drain(PeId pe, std::size_t max_n,

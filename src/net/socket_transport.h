@@ -11,17 +11,19 @@
 // (The full multi-process deployment — separate worker processes — is
 // runtime/proc_engine.h; it reuses the hub directly.)
 //
-// Topology: one hub endpoint-owner connection per PE. send(src,dst) writes a
-// kData frame on src's client connection (one write mutex per connection —
-// PE threads share their own connection only when batching staged traffic);
-// the hub routes it to dst's connection; dst's reader thread pushes the
-// payload into inbox[dst].
+// Topology: one hub endpoint-owner connection per PE. send(src,dst) and
+// send_batch(src,dst) each write one kData frame, a batch of length-prefixed
+// messages (net/frame.h), on src's client connection (one write mutex per
+// connection — PE threads share their own connection only when batching
+// staged traffic); the hub routes it to dst's connection; dst's reader
+// thread splits it and pushes the messages into inbox[dst] in order.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -70,7 +72,7 @@ class SocketTransport final : public Transport {
 
   void client_reader(PeId pe);
   bool connect_client(PeId pe, const SocketAddr& addr);
-  void write_frames(PeId src, PeId dst, std::vector<Bytes>&& msgs);
+  void write_batch(PeId src, PeId dst, std::span<const Bytes> msgs);
 
   std::uint32_t num_pes_;
   SocketHub hub_;

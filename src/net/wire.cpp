@@ -3,7 +3,13 @@
 namespace dgr {
 
 std::vector<std::uint8_t> encode_task(const Task& t) {
-  ByteWriter w;
+  std::vector<std::uint8_t> out;
+  append_task(out, t);
+  return out;
+}
+
+void append_task(std::vector<std::uint8_t>& out, const Task& t) {
+  ByteWriter w(std::move(out));
   w.u8(static_cast<std::uint8_t>(t.kind));
   w.u8(static_cast<std::uint8_t>(t.plane));
   w.u8(t.prior);
@@ -14,10 +20,10 @@ std::vector<std::uint8_t> encode_task(const Task& t) {
   w.u8(static_cast<std::uint8_t>(t.value.kind));
   w.i64(t.value.i);
   w.vid(t.value.node);
-  return w.take();
+  out = w.take();
 }
 
-std::optional<Task> try_decode_task(const std::vector<std::uint8_t>& bytes) {
+std::optional<Task> try_decode_task(ByteSpan bytes) {
   ByteReader r(bytes);
   Task t;
   const std::uint8_t kind = r.u8();
@@ -44,7 +50,7 @@ std::optional<Task> try_decode_task(const std::vector<std::uint8_t>& bytes) {
   return t;
 }
 
-Task decode_task(const std::vector<std::uint8_t>& bytes) {
+Task decode_task(ByteSpan bytes) {
   std::optional<Task> t = try_decode_task(bytes);
   DGR_CHECK_MSG(t.has_value(), "malformed task message");
   return *t;

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/task.h"
@@ -21,8 +22,15 @@
 
 namespace dgr {
 
+using ByteSpan = std::span<const std::uint8_t>;
+
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  // Continue appending to `buf` (hand it back with take()): encoders then
+  // write straight into a staging buffer instead of a temporary.
+  explicit ByteWriter(std::vector<std::uint8_t> buf) : buf_(std::move(buf)) {}
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u32(std::uint32_t v) { raw(&v, sizeof v); }
   void u64(std::uint64_t v) { raw(&v, sizeof v); }
@@ -44,7 +52,7 @@ class ByteWriter {
 
 class ByteReader {
  public:
-  explicit ByteReader(const std::vector<std::uint8_t>& buf) : buf_(buf) {}
+  explicit ByteReader(ByteSpan buf) : buf_(buf) {}
   std::uint8_t u8() {
     if (!ok_ || pos_ >= buf_.size()) {
       ok_ = false;
@@ -88,20 +96,22 @@ class ByteReader {
     std::memcpy(p, buf_.data() + pos_, n);
     pos_ += n;
   }
-  const std::vector<std::uint8_t>& buf_;
+  ByteSpan buf_;
   std::size_t pos_ = 0;
   bool ok_ = true;
 };
 
 // Task <-> bytes. Round-trip identity is covered by tests.
 std::vector<std::uint8_t> encode_task(const Task& t);
+// The same bytes, appended to `out`.
+void append_task(std::vector<std::uint8_t>& out, const Task& t);
 
 // Recoverable decode: nullopt on truncated input, trailing bytes, or
 // out-of-range enum fields. Never aborts.
-std::optional<Task> try_decode_task(const std::vector<std::uint8_t>& bytes);
+std::optional<Task> try_decode_task(ByteSpan bytes);
 
 // Trusting decode for pre-validated buffers; DGR_CHECK-aborts on malformed
 // input (the historical behavior — use try_decode_task for network bytes).
-Task decode_task(const std::vector<std::uint8_t>& bytes);
+Task decode_task(ByteSpan bytes);
 
 }  // namespace dgr

@@ -25,6 +25,7 @@ WorkerEngine::WorkerEngine(Socket sock, FrameCodec codec,
       t0_(std::chrono::steady_clock::now()),
       reg_(cfg.num_pes) {
   owned_.assign(cfg_.num_pes, 0);
+  out_.resize(cfg_.num_pes);
   for (std::uint32_t pe = cfg_.pe_begin; pe < cfg_.pe_begin + cfg_.pe_count;
        ++pe)
     owned_[pe] = 1;
@@ -73,9 +74,7 @@ void WorkerEngine::init_message_plane() {
     fopt.spec = cfg_.faults;
     fault_ = std::make_unique<FaultPlane>(
         cfg_.num_pes, fopt,
-        [this](PeId src, PeId dst, FaultPlane::Bytes msg) {
-          send_data(src, dst, std::move(msg));
-        });
+        [this](PeId, PeId dst, FaultPlane::Bytes msg) { stage(dst, msg); });
     fault_->set_inject_hook(
         [this](FaultKind k, PeId src, PeId, std::size_t bytes) {
           static constexpr obs::Counter kFaultCounter[kNumFaultKinds] = {
@@ -97,7 +96,7 @@ void WorkerEngine::init_message_plane() {
           if (fault_) {
             fault_->send(src, dst, std::move(frame));
           } else {
-            send_data(src, dst, std::move(frame));
+            stage(dst, frame);
           }
         });
     ChannelManager::Hooks hooks;
@@ -136,19 +135,36 @@ void WorkerEngine::init_message_plane() {
 }
 
 void WorkerEngine::send_frame(const NetFrame& f) {
+  flush_batches();
   const std::vector<std::uint8_t> wire = encode_frame(f);
   if (!sock_.write_all(wire.data(), wire.size())) fatal_ = true;
 }
 
-void WorkerEngine::send_data(PeId src, PeId dst,
-                             std::vector<std::uint8_t> bytes) {
-  NetFrame f;
-  f.type = FrameType::kData;
-  f.gen = gen_;  // receivers void anything from before their last fence
-  f.src = src;
-  f.dst = dst;
-  f.payload = std::move(bytes);
-  send_frame(f);
+std::vector<std::uint8_t>& WorkerEngine::batch_for(PeId dst) {
+  std::vector<std::uint8_t>& b = out_[dst];
+  // Stamped with the generation current at staging time; receivers void
+  // anything from before their last fence. Nothing is staged across a
+  // kEpochFence frame, so a batch never mixes generations.
+  if (b.empty()) open_frame(b, FrameType::kData, gen_, cfg_.pe_begin, dst);
+  return b;
+}
+
+void WorkerEngine::stage(PeId dst, std::span<const std::uint8_t> msg) {
+  std::vector<std::uint8_t>& b = batch_for(dst);
+  batch_append(b, msg);
+  if (b.size() >= kBatchCap) flush_batch(dst);
+}
+
+void WorkerEngine::flush_batch(PeId dst) {
+  std::vector<std::uint8_t>& b = out_[dst];
+  seal_frame(b, 0);
+  if (!sock_.write_all(b.data(), b.size())) fatal_ = true;
+  b.clear();  // keeps the capacity for the next batch
+}
+
+void WorkerEngine::flush_batches() {
+  for (PeId dst = 0; dst < out_.size(); ++dst)
+    if (!out_[dst].empty()) flush_batch(dst);
 }
 
 void WorkerEngine::spawn(Task t) {
@@ -160,14 +176,20 @@ void WorkerEngine::spawn(Task t) {
     q_.push_back(t);
     return;
   }
-  std::vector<std::uint8_t> bytes = encode_task(t);
   reg_.add(cur_pe_, obs::Counter::kRemoteMessages);
-  reg_.add(cur_pe_, obs::Counter::kBytesSent, bytes.size());
   if (chan_) {
+    std::vector<std::uint8_t> bytes = encode_task(t);
+    reg_.add(cur_pe_, obs::Counter::kBytesSent, bytes.size());
     chan_->send(cur_pe_, dst, std::move(bytes), now_us());
-  } else {
-    send_data(cur_pe_, dst, std::move(bytes));
+    return;
   }
+  // Bare path: encode straight into the destination's batch.
+  std::vector<std::uint8_t>& b = batch_for(dst);
+  const std::size_t at = batch_open(b);
+  append_task(b, t);
+  reg_.add(cur_pe_, obs::Counter::kBytesSent, b.size() - at - kBatchPrefixSize);
+  batch_close(b, at);
+  if (b.size() >= kBatchCap) flush_batch(dst);
 }
 
 void WorkerEngine::exec_local(Task t) {
@@ -195,6 +217,7 @@ void WorkerEngine::service_channel() {
     chan_->flush(pe, now);
     chan_->service(pe, now);
   }
+  flush_batches();
 }
 
 void WorkerEngine::send_telemetry(Plane plane, std::uint64_t epoch) {
@@ -291,6 +314,38 @@ void WorkerEngine::send_handoff_ack(std::uint64_t seq, bool ok) {
 }
 
 bool WorkerEngine::handle_frame(NetFrame f) {
+  const bool go_on = dispatch(f);
+  flush_batches();
+  return go_on;
+}
+
+bool WorkerEngine::handle_data(const NetFrame& f) {
+  if (!batch_split(f.payload, in_msgs_)) {
+    DGR_ERROR("worker %u: malformed data batch", index_);
+    fatal_ = true;
+    return false;
+  }
+  // Each message runs exactly as a frame of its own would.
+  for (std::span<const std::uint8_t> m : in_msgs_) {
+    if (chan_) {
+      for (auto& payload : chan_->on_frame(f.dst, m, now_us())) {
+        const std::optional<Task> t = try_decode_task(payload);
+        if (t) exec_local(*t);
+      }
+      continue;
+    }
+    const std::optional<Task> t = try_decode_task(m);
+    if (!t) {
+      DGR_ERROR("worker %u: malformed task in data batch", index_);
+      fatal_ = true;
+      return false;
+    }
+    exec_local(*t);
+  }
+  return true;
+}
+
+bool WorkerEngine::dispatch(NetFrame& f) {
   switch (f.type) {
     case FrameType::kHandoff: {
       HandoffMsg msg;
@@ -375,15 +430,7 @@ bool WorkerEngine::handle_frame(NetFrame f) {
     }
     case FrameType::kData: {
       if (desync_ || f.gen != gen_) return true;  // pre-fence traffic: void
-      if (chan_) {
-        for (auto& payload : chan_->on_frame(f.dst, f.payload, now_us())) {
-          const std::optional<Task> t = try_decode_task(payload);
-          if (t) exec_local(*t);
-        }
-      } else {
-        exec_local(decode_task(f.payload));
-      }
-      return true;
+      return handle_data(f);
     }
     case FrameType::kQuiesce: {
       Plane plane;

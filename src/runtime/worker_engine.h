@@ -5,8 +5,8 @@
 // A worker owns a contiguous PE block [pe_begin, pe_begin + pe_count). It
 // receives partition handoffs (kHandoff) before every marking plane, opens
 // the plane at the controller's epoch (kPlaneBegin / kRescueBegin), executes
-// mark/return tasks for its own PEs, and ships cross-worker child marks as
-// kData frames that the controller hub relays to the owner — optionally
+// mark/return tasks for its own PEs, and ships cross-worker child marks in
+// kData batches that the controller hub relays to the owner — optionally
 // through the worker-side reliable channel + fault plane, so the chaos
 // schedule exercises the full recovery discipline across real process
 // boundaries. When its replica observes the termination return to rootpar it
@@ -17,6 +17,13 @@
 // arrival order and each task executes to completion (including its local
 // child cascade) before the next frame is read, so a kQuiesce can never
 // overtake work the controller already counted.
+//
+// Outgoing marks are staged in one kData batch per destination PE and
+// written at fixed flush points: the end of every handled frame, the end of
+// every channel service pass, before any other frame, and when a batch
+// reaches kBatchCap. Nothing stays staged between frames, so the ordering
+// argument above still holds, and the output is a deterministic function
+// of the input frame stream (docs/CLUSTER.md "Data batches").
 #pragma once
 
 #include <array>
@@ -24,6 +31,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/marker.h"
@@ -58,12 +66,23 @@ class WorkerEngine final : public TaskSink {
 
  private:
   bool owns(PeId pe) const { return pe < owned_.size() && owned_[pe] != 0; }
+  // A destination's staged batch is written once it reaches this many bytes.
+  static constexpr std::size_t kBatchCap = 64 << 10;
+
   // Returns false when the loop should stop (kShutdown or fatal error).
+  // Flushes the staged batches before returning.
   bool handle_frame(NetFrame f);
+  bool dispatch(NetFrame& f);
+  bool handle_data(const NetFrame& f);
   void exec_local(Task t);
   void drain_local();
+  // Control frames: staged batches go out first.
   void send_frame(const NetFrame& f);
-  void send_data(PeId src, PeId dst, std::vector<std::uint8_t> bytes);
+  // The batch staged toward `dst`, opened (frame header written) if empty.
+  std::vector<std::uint8_t>& batch_for(PeId dst);
+  void stage(PeId dst, std::span<const std::uint8_t> msg);
+  void flush_batch(PeId dst);
+  void flush_batches();
   void service_channel();
   // (Re)create the fault plane + reliable channel. Called from the ctor and
   // again at every kEpochFence: a membership fence voids all in-flight
@@ -94,6 +113,10 @@ class WorkerEngine final : public TaskSink {
   std::unique_ptr<FaultPlane> fault_;
   std::unique_ptr<ChannelManager> chan_;
   std::deque<Task> q_;       // locally-owned tasks awaiting execution
+  // Staged outgoing kData frames, one per destination PE (empty = none).
+  std::vector<std::vector<std::uint8_t>> out_;
+  // Views into the kData batch being handled (reused across frames).
+  std::vector<std::span<const std::uint8_t>> in_msgs_;
   PeId cur_pe_ = 0;          // PE context of the task being executed
   bool clean_shutdown_ = false;
   bool fatal_ = false;

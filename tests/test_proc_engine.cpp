@@ -269,6 +269,55 @@ std::vector<std::uint64_t> scan_all_u64(const std::string& json,
   return out;
 }
 
+// ---- Wire batching (docs/CLUSTER.md "Data batches") ----------------------
+
+// One M_R cycle over a 4096-vertex graph on 2 workers, held to the Oracle.
+// Worker↔worker marks travel in per-destination kData batches, so every
+// worker's relayed frames stay at or under 1/20 of the messages it sent.
+void check_batched_cycle(ProcOptions popt) {
+  RigParams rp;
+  rp.seed = 23;
+  rp.pes = 2;
+  rp.vertices = 4096;
+  rp.capacity = 2600;
+  popt.workers = 2;
+  ProcRig rig(rp, popt);
+  rig.cycle_checked(/*detect_deadlock=*/false, 0);
+  if (::testing::Test::HasFatalFailure()) return;
+  const std::string full = rig.eng().cluster_metrics_json();
+  const std::size_t rollup = full.find("\"workers\":[");
+  ASSERT_NE(rollup, std::string::npos) << full;
+  const std::string json = full.substr(rollup);
+  const std::vector<std::uint64_t> relayed =
+      scan_all_u64(json, "relayed_frames");
+  const std::vector<std::uint64_t> remote =
+      scan_all_u64(json, "remote_messages");
+  ASSERT_EQ(relayed.size(), 2u) << json;
+  ASSERT_EQ(remote.size(), 2u) << json;
+  for (std::size_t w = 0; w < 2; ++w) {
+    EXPECT_GT(remote[w], 0u) << "worker " << w;
+    EXPECT_LE(relayed[w] * 20, remote[w]) << "worker " << w << ": " << json;
+  }
+}
+
+TEST(ProcBatching, BarePathBatchesAndMatchesOracle) {
+  check_batched_cycle(ProcOptions{});
+}
+
+TEST(ProcBatching, ChannelPathUnderFaultsBatchesAndMatchesOracle) {
+  // The channel coalesces payloads too (ThreadEngine's default size). With
+  // one payload per channel frame, each lost frame costs an RTO round of
+  // go-back-32 retransmits plus the replies it draws, so at this drop rate
+  // the frame count would measure loss recovery rather than staging.
+  ProcOptions popt;
+  popt.reliable.batch_bytes = 4096;
+  popt.fault_seed = 77;
+  popt.faults.drop = 0.10;
+  popt.faults.duplicate = 0.10;
+  popt.faults.reorder = 0.20;
+  check_batched_cycle(popt);
+}
+
 TEST(ProcTelemetry, CountersAgreeWithMergedMarkReports) {
   // The telemetry plane (counter deltas at every quiesce) and the mark-report
   // merge are independent paths over the same execution: the merged registry

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <span>
+#include <thread>
+#include <vector>
 
 #include "graph/builder.h"
 #include "graph/oracle.h"
@@ -221,6 +224,67 @@ TEST(ThreadEngine, ConcurrentMutationsDoNotLoseReachableVertices) {
       EXPECT_FALSE(g.is_free(e.to)) << "dangling edge after threaded cycle";
     }
   });
+}
+
+TEST(ThreadEngine, ConcurrentRescuesInOneWaveAreAllMarked) {
+  // Mutators on disjoint stripes share the mutation gate, so several can
+  // queue rescues at once while a PE thread may launch the rescue wave. Pin
+  // the M_R wave at the root (a mutator holds the root's stripe) while 4
+  // threads queue rescues for 256 unreachable vertices; once released, the
+  // wave terminates and the rescue wave must mark every one of them.
+  Graph g = make_presized(2, 1200);
+  RandomGraphOptions opt;
+  opt.num_vertices = 600;
+  opt.seed = 5;
+  const BuiltGraph b = build_random_graph(g, opt);
+  std::vector<VertexId> orphans;
+  for (std::uint32_t i = 0; i < 256; ++i)
+    orphans.push_back(g.alloc(i % 2, OpCode::kData));
+
+  ThreadEngine eng(g);
+  eng.set_root(b.root);
+  eng.start();
+  std::atomic<bool> holding{false};
+  std::atomic<bool> release{false};
+  std::thread holder([&] {
+    eng.atomically({b.root}, [&] {
+      holding = true;
+      while (!release) std::this_thread::yield();
+    });
+  });
+  while (!holding) std::this_thread::yield();
+  CycleOptions copt;
+  copt.detect_deadlock = false;
+  eng.controller().start_cycle(copt);
+
+  constexpr int kThreads = 4;
+  std::atomic<int> ready{0};
+  std::vector<std::thread> mutators;
+  for (int t = 0; t < kThreads; ++t) {
+    mutators.emplace_back([&, t] {
+      ++ready;
+      while (ready < kThreads) std::this_thread::yield();
+      for (std::size_t i = t; i < orphans.size(); i += kThreads)
+        eng.atomically(std::span<const VertexId>(), [&] {
+          eng.marker().rescue(Plane::kR, orphans[i]);
+        });
+    });
+  }
+  for (std::thread& m : mutators) m.join();
+  // The wave cannot pass the held root, so every rescue landed in it.
+  EXPECT_TRUE(eng.marker().marking_in_progress(Plane::kR));
+  for (VertexId v : orphans)
+    EXPECT_TRUE(eng.marker().is_rescue_queued(Plane::kR, v));
+  release = true;
+  holder.join();
+  eng.wait_cycle_done();
+  eng.stop();
+
+  EXPECT_GE(eng.marker().rescue_waves(Plane::kR), 1u);
+  for (VertexId v : orphans) {
+    EXPECT_FALSE(g.is_free(v));
+    EXPECT_TRUE(eng.marker().is_marked(Plane::kR, v));
+  }
 }
 
 TEST(ThreadEngine, ManyPesScaleSmoke) {

@@ -149,6 +149,94 @@ TEST(FrameCodec, WrongVersionIsError) {
   EXPECT_TRUE(c.error());
 }
 
+// ---- kData batches: length-prefixed messages in one payload. ----
+
+using Msg = std::vector<std::uint8_t>;
+
+std::vector<Msg> split_copy(const std::vector<std::uint8_t>& batch,
+                            bool* ok) {
+  std::vector<std::span<const std::uint8_t>> views;
+  *ok = batch_split(batch, views);
+  std::vector<Msg> out;
+  for (std::span<const std::uint8_t> v : views)
+    out.emplace_back(v.begin(), v.end());
+  return out;
+}
+
+TEST(DataBatch, RoundTripOneMessage) {
+  std::vector<std::uint8_t> b;
+  batch_append(b, Msg{7, 8, 9});
+  EXPECT_EQ(b.size(), kBatchPrefixSize + 3);
+  bool ok = false;
+  const std::vector<Msg> got = split_copy(b, &ok);
+  ASSERT_TRUE(ok);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], (Msg{7, 8, 9}));
+}
+
+TEST(DataBatch, RoundTripManyMessagesInOrder) {
+  std::vector<std::uint8_t> b;
+  std::vector<Msg> want;
+  for (std::uint8_t i = 0; i < 50; ++i) {
+    want.push_back(Msg(i % 7 + 1, i));
+    if (i % 2) {
+      batch_append(b, want.back());
+    } else {
+      // The in-place form WorkerEngine uses: reserve, write, patch.
+      const std::size_t at = batch_open(b);
+      b.insert(b.end(), want.back().begin(), want.back().end());
+      batch_close(b, at);
+    }
+  }
+  bool ok = false;
+  EXPECT_EQ(split_copy(b, &ok), want);
+  EXPECT_TRUE(ok);
+}
+
+TEST(DataBatch, ZeroLengthMessageAndEmptyBatch) {
+  std::vector<std::uint8_t> b;
+  batch_append(b, Msg{});
+  batch_append(b, Msg{1});
+  batch_append(b, Msg{});
+  bool ok = false;
+  const std::vector<Msg> got = split_copy(b, &ok);
+  ASSERT_TRUE(ok);
+  EXPECT_EQ(got, (std::vector<Msg>{{}, {1}, {}}));
+  // No messages at all is a well-formed (empty) batch.
+  EXPECT_TRUE(split_copy({}, &ok).empty());
+  EXPECT_TRUE(ok);
+}
+
+TEST(DataBatch, LengthPastEndIsRejected) {
+  std::vector<std::uint8_t> b;
+  batch_append(b, Msg{1, 2});
+  batch_append(b, Msg{3, 4, 5, 6});
+  // Every cut inside the second message leaves its prefix overrunning.
+  for (std::size_t cut = b.size() - 4; cut < b.size(); ++cut) {
+    std::vector<std::span<const std::uint8_t>> views;
+    EXPECT_FALSE(batch_split(std::span(b.data(), cut), views)) << cut;
+    EXPECT_TRUE(views.empty());
+  }
+  // A prefix claiming more than the payload holds.
+  std::vector<std::uint8_t> huge = {0xff, 0xff, 0xff, 0x7f, 1, 2};
+  bool ok = true;
+  split_copy(huge, &ok);
+  EXPECT_FALSE(ok);
+}
+
+TEST(DataBatch, TrailingBytesAreRejected) {
+  std::vector<std::uint8_t> b;
+  batch_append(b, Msg{9, 9});
+  // 1-3 stray bytes cannot hold a length prefix.
+  for (int extra = 1; extra < static_cast<int>(kBatchPrefixSize); ++extra) {
+    std::vector<std::uint8_t> t = b;
+    t.insert(t.end(), static_cast<std::size_t>(extra), 0);
+    bool ok = true;
+    EXPECT_TRUE(split_copy(t, &ok).empty());
+    EXPECT_FALSE(ok) << extra;
+  }
+}
+
 // ---- SocketHub: registration handshake, rejection, loss, reconnect. ----
 
 class HubRig {
@@ -551,6 +639,28 @@ TEST_P(SocketTransportKinds, FifoPerPairAndBatch) {
   const TransportStats s = t.stats();
   EXPECT_GE(s.frames_sent, 60u);
   EXPECT_EQ(s.connects, 4u);
+  t.close();
+}
+
+TEST_P(SocketTransportKinds, SendBatchTravelsAsOneFrameInOrder) {
+  SocketTransport t(2, GetParam());
+  ASSERT_TRUE(t.ok()) << t.error();
+  const TransportStats before = t.stats();
+  std::vector<Transport::Bytes> batch;
+  for (std::uint32_t i = 0; i < 100; ++i)
+    batch.push_back({static_cast<std::uint8_t>(i),
+                     static_cast<std::uint8_t>(i >> 8)});
+  batch[40].clear();  // a zero-length message rides along too
+  const std::vector<Transport::Bytes> sent = batch;
+  t.send_batch(0, 1, std::move(batch));
+
+  std::vector<Transport::Bytes> got;
+  for (int i = 0; i < 5000 && got.size() < 100; ++i)
+    t.drain_wait(1, 128, got, /*timeout_us=*/1000);
+  EXPECT_EQ(got, sent);
+  const TransportStats after = t.stats();
+  // The whole batch crossed the hub as one frame.
+  EXPECT_EQ(after.frames_relayed - before.frames_relayed, 1u);
   t.close();
 }
 
