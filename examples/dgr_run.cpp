@@ -41,12 +41,14 @@
 //                    --audit 1 unless --audit was given (docs/FAULTS.md)
 //   --fault-seed S   fault-schedule seed (default 1; deterministic per pair)
 //   --batch-bytes N  threaded audit phase: coalesce outgoing messages per
-//                    directed PE pair into batches of up to N bytes
+//                    directed PE pair into batches of up to N bytes, on the
+//                    mailbox path and in the reliable channel's frames
 //                    (default 4096; see docs/PERF.md)
 //   --batch-us U     flush a partial batch once its oldest message is U
 //                    microseconds old (default 100)
-//   --no-batch       disable batching (one message per frame/delivery —
-//                    the exact pre-batching message plane)
+//   --no-batch       same as --batch-bytes 0: each message is its own
+//                    mailbox delivery, or its own reliable-channel frame
+//                    (acks stay deferred or piggybacked)
 //   --partition P    instance-vertex placement: scatter (default; each
 //                    template node round-robins across PEs), home (all on
 //                    the caller's PE), chunk/greedy (one PE per
@@ -266,7 +268,7 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--batch-us") && i + 1 < argc) {
       net.batch_flush_us = static_cast<std::uint32_t>(std::atoi(argv[++i]));
     } else if (!std::strcmp(argv[i], "--no-batch")) {
-      net.batch_bytes = 0;  // exact pre-batching message plane
+      net.batch_bytes = 0;  // one message per delivery / channel frame
     } else if (!std::strcmp(argv[i], "--partition") && i + 1 < argc) {
       if (!parse_placement(argv[++i], &placement)) {
         std::fprintf(stderr,

@@ -71,9 +71,8 @@ struct FaultPlaneOptions {
 class FaultPlane {
  public:
   using Bytes = std::vector<std::uint8_t>;
-  // Downstream delivery: typically Transport::send toward the destination
-  // (the source PE is carried so socket transports can pick the right
-  // connection; the in-process path ignores it).
+  // Downstream delivery toward the destination: ThreadEngine pushes into
+  // the destination PE's mailbox.
   using DeliverFn = std::function<void(PeId src, PeId dst, Bytes msg)>;
   // Observability hook, called while a fault is injected: kind, sending and
   // receiving PE, and the affected message's size in bytes.

@@ -24,12 +24,11 @@
 //
 //   repeat { u32 LE length n; n message bytes }
 //
-// WorkerEngine stages one batch per destination PE and SocketTransport sends
-// one per send_batch, so kData means the same on every hub. The hub routes a
-// batch by dst without opening it; the receiver splits it and handles each
-// message as if it had arrived alone. A length running past the end, or a
-// tail too short for a length, makes the batch malformed: a protocol error,
-// like a malformed frame.
+// WorkerEngine stages one batch per destination PE and sends it as one
+// kData frame. The hub routes a batch by dst without opening it; the
+// receiver splits it and handles each message as if it had arrived alone.
+// A length running past the end, or a tail too short for a length, makes
+// the batch malformed: a protocol error, like a malformed frame.
 #pragma once
 
 #include <cstdint>

@@ -142,34 +142,9 @@ void ChannelManager::send_standalone_ack(PeId src, PeId dst,
 
 void ChannelManager::send(PeId src, PeId dst, Bytes payload,
                           std::uint64_t now_us) {
-  if (opt_.batch_bytes == 0) {
-    // Unbatched protocol: one payload, one frame, transmitted immediately.
-    // No piggyback read — acks are immediate in this mode, and skipping the
-    // reverse-channel lock keeps the path byte-for-byte the PR 4 one.
-    Channel& ch = channel(src, dst);
-    Bytes frame;
-    {
-      std::lock_guard<std::mutex> lk(ch.mu);
-      ChannelFrame f;
-      f.is_data = true;
-      f.src = src;
-      f.dst = dst;
-      f.seq = ch.next_seq++;
-      f.payloads.push_back(std::move(payload));
-      frame = encode_frame(f);
-      const bool was_empty = ch.unacked.empty();
-      ch.unacked.emplace(f.seq, Unacked{frame, now_us, 1});
-      if (was_empty) {
-        ch.backoff_shift = 0;
-        ch.rto_deadline_us = now_us + rto_us(0);
-      }
-      ++ch.stats.data_sent;
-    }
-    send_(src, dst, std::move(frame));
-    return;
-  }
-  // Batched: stage the payload; flush at the size cap (the age cap is
-  // service()'s job, flush() the idle sender's).
+  // Stage the payload; flush at the size cap (the age cap is service()'s
+  // job, flush() the idle sender's). A zero cap flushes every payload as its
+  // own frame.
   Channel& ch = channel(src, dst);
   bool flush_now = false;
   {
@@ -230,7 +205,6 @@ void ChannelManager::flush_pair(PeId src, PeId dst, std::uint64_t now_us) {
 }
 
 void ChannelManager::flush(PeId pe, std::uint64_t now_us) {
-  if (opt_.batch_bytes == 0) return;
   for (PeId dst = 0; dst < num_pes_; ++dst) {
     bool has_pending;
     {
@@ -269,8 +243,6 @@ std::vector<ChannelManager::Bytes> ChannelManager::on_data(
   if (f.ack > 0) process_ack(f.dst, f.src, f.ack, now_us);
   Channel& ch = channel(f.src, f.dst);
   std::vector<Bytes> out;
-  std::uint64_t cum_ack = 0;
-  bool ack_standalone = true;
   {
     std::lock_guard<std::mutex> lk(ch.mu);
     if (f.seq < ch.next_expected ||
@@ -289,23 +261,15 @@ std::vector<ChannelManager::Bytes> ChannelManager::on_data(
       }
       ch.stats.delivered += out.size();
     }
-    cum_ack = ch.next_expected - 1;
-    if (opt_.batch_bytes == 0) {
-      // Unbatched: ack every data frame — including duplicates — so a lost
-      // ack is repaired by the sender's retransmit → our re-ack.
-      ++ch.stats.acks_sent;
-    } else {
-      // Batched: defer, hoping a reverse data frame piggybacks it within
-      // batch_flush_us; service() sends it standalone otherwise. The
-      // retransmit → re-ack repair still works, one deferral later.
-      ack_standalone = false;
-      if (!ch.ack_pending) {
-        ch.ack_pending = true;
-        ch.ack_deadline_us = now_us + opt_.batch_flush_us;
-      }
+    // Defer the ack, hoping a reverse data frame piggybacks it within
+    // batch_flush_us; service() sends it standalone otherwise. Duplicates
+    // re-arm it too, so a lost ack is repaired by the sender's retransmit
+    // → our re-ack, one deferral later.
+    if (!ch.ack_pending) {
+      ch.ack_pending = true;
+      ch.ack_deadline_us = now_us + opt_.batch_flush_us;
     }
   }
-  if (ack_standalone) send_standalone_ack(f.src, f.dst, cum_ack);
   return out;
 }
 
@@ -341,15 +305,13 @@ void ChannelManager::process_ack(PeId src, PeId dst, std::uint64_t cum,
 void ChannelManager::service(PeId pe, std::uint64_t now_us) {
   for (PeId dst = 0; dst < num_pes_; ++dst) {
     Channel& ch = channel(pe, dst);
-    // Aged batch flush (sender side, batched mode only).
-    if (opt_.batch_bytes > 0) {
-      bool aged;
-      {
-        std::lock_guard<std::mutex> lk(ch.mu);
-        aged = !ch.pending.empty() && now_us >= ch.batch_deadline_us;
-      }
-      if (aged) flush_pair(pe, dst, now_us);
+    // Aged batch flush (sender side).
+    bool aged;
+    {
+      std::lock_guard<std::mutex> lk(ch.mu);
+      aged = !ch.pending.empty() && now_us >= ch.batch_deadline_us;
     }
+    if (aged) flush_pair(pe, dst, now_us);
     // Retransmit timer.
     std::vector<Bytes> resend;
     std::vector<std::pair<std::uint64_t, std::uint32_t>> notes;  // seq,attempt
@@ -377,21 +339,19 @@ void ChannelManager::service(PeId pe, std::uint64_t now_us) {
     }
     // Due deferred ack for the channel this PE *receives* on (src=dst row in
     // this loop doubles as the reverse scan: channel(dst → pe)).
-    if (opt_.batch_bytes > 0) {
-      Channel& rx = channel(dst, pe);
-      bool owe = false;
-      std::uint64_t cum = 0;
-      {
-        std::lock_guard<std::mutex> lk(rx.mu);
-        if (rx.ack_pending && now_us >= rx.ack_deadline_us) {
-          rx.ack_pending = false;
-          cum = rx.next_expected - 1;
-          owe = true;
-          ++rx.stats.acks_sent;
-        }
+    Channel& rx = channel(dst, pe);
+    bool owe = false;
+    std::uint64_t cum = 0;
+    {
+      std::lock_guard<std::mutex> lk(rx.mu);
+      if (rx.ack_pending && now_us >= rx.ack_deadline_us) {
+        rx.ack_pending = false;
+        cum = rx.next_expected - 1;
+        owe = true;
+        ++rx.stats.acks_sent;
       }
-      if (owe) send_standalone_ack(dst, pe, cum);
     }
+    if (owe) send_standalone_ack(dst, pe, cum);
   }
 }
 

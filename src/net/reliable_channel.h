@@ -9,33 +9,33 @@
 //   sender     per-pair sequence numbers; unacked frames buffered with their
 //              send timestamps; timeout-driven retransmission with capped
 //              exponential backoff (serviced from the owning PE's loop);
-//   receiver   cumulative acks (acked on every data frame, so lost acks are
-//              repaired by the retransmit → re-ack exchange), an out-of-order
-//              buffer that releases payloads strictly in sequence, and
-//              duplicate suppression (seq below the in-order frontier or
-//              already buffered);
+//   receiver   cumulative acks (deferred or piggybacked, and re-armed by
+//              every data frame, so lost acks are repaired by the
+//              retransmit → re-ack exchange), an out-of-order buffer that
+//              releases payloads strictly in sequence, and duplicate
+//              suppression (seq below the in-order frontier or already
+//              buffered);
 //   framing    every frame carries its payload lengths and an FNV-1a
 //              checksum, so a truncated or corrupted frame fails decode
 //              recoverably and is simply dropped — retransmission recovers
 //              the payloads.
 //
-// Batching (opt-in via ReliableOptions::batch_bytes > 0): outgoing payloads
-// for each directed PE pair coalesce into a single multi-payload data frame,
-// flushed when the pending batch reaches batch_bytes or ages past
-// batch_flush_us (serviced from the owning PE's loop, or forced via flush()).
-// One frame = one sequence number = one ack, so the per-message protocol
-// cost (framing, checksum, ack traffic, mailbox crossings) amortizes over
-// the whole batch. Acks piggyback on reverse-direction data frames (the
-// `ack` field carries the receiver's cumulative frontier); standalone acks
-// are deferred up to batch_flush_us and sent from service() only when no
-// reverse data materializes. With batch_bytes == 0 the protocol degenerates
-// to exactly the unbatched PR 4 behavior: one payload per frame, an
-// immediate standalone ack per data frame.
+// Batching: outgoing payloads for each directed PE pair coalesce into a
+// single multi-payload data frame, flushed when the pending batch reaches
+// batch_bytes or ages past batch_flush_us (serviced from the owning PE's
+// loop, or forced via flush()). One frame = one sequence number = one ack,
+// so the per-message protocol cost (framing, checksum, ack traffic, mailbox
+// crossings) amortizes over the whole batch. Acks piggyback on
+// reverse-direction data frames (the `ack` field carries the receiver's
+// cumulative frontier); standalone acks are deferred up to batch_flush_us
+// and sent from service() only when no reverse data materializes. With
+// batch_bytes == 0 every payload flushes as its own frame; acks are still
+// deferred or piggybacked.
 //
-// The manager is transport-agnostic: frames leave through a SendFn (the
-// fault plane, a bare mailbox, or a test harness) and arrive via on_frame.
-// Time is passed in explicitly (microseconds, any monotonic origin), which
-// keeps the protocol state machine deterministic and unit-testable.
+// Frames leave through a SendFn (the fault plane, a bare mailbox, or a test
+// harness) and arrive via on_frame. Time is passed in explicitly
+// (microseconds, any monotonic origin), which keeps the protocol state
+// machine deterministic and unit-testable.
 #pragma once
 
 #include <cstdint>
@@ -55,8 +55,8 @@ struct ReliableOptions {
   std::uint64_t rto_initial_us = 300;  // first retransmit timeout
   std::uint64_t rto_max_us = 20000;    // backoff cap
   std::uint32_t max_retransmit_batch = 32;  // frames re-sent per service()
-  // Batching knobs (see header comment). 0 batch_bytes = unbatched protocol.
-  std::uint32_t batch_bytes = 0;       // coalesce payloads per pair up to this
+  // Batching knobs (see header comment). 0 = one payload per frame.
+  std::uint32_t batch_bytes = 4096;    // coalesce payloads per pair up to this
   std::uint64_t batch_flush_us = 100;  // age cap: pending batch / deferred ack
 };
 
@@ -100,8 +100,8 @@ class ChannelManager {
     // Clean (never-retransmitted) round-trip time sample for a frame sent
     // by `src` (Karn's rule: retransmitted frames yield no RTT sample).
     std::function<void(PeId src, double rtt_us)> on_rtt;
-    // A coalesced multi-payload data frame left the sender (batched mode
-    // only; fires once per flush, with the payload count and frame size).
+    // A data frame left the sender (fires once per flush, with the payload
+    // count and frame size).
     std::function<void(PeId src, PeId dst, std::size_t payloads,
                        std::size_t frame_bytes)>
         on_batch_flush;
@@ -114,14 +114,12 @@ class ChannelManager {
 
   void set_hooks(Hooks h) { hooks_ = std::move(h); }
 
-  // Sender side: queue `payload` for (src → dst). Unbatched: framed, recorded
-  // unacked and handed to SendFn immediately. Batched: staged in the pair's
-  // pending batch; flushed at batch_bytes, at age batch_flush_us (via
-  // service), or on flush().
+  // Sender side: stage `payload` in (src → dst)'s pending batch; flushed at
+  // batch_bytes, at age batch_flush_us (via service), or on flush().
   void send(PeId src, PeId dst, Bytes payload, std::uint64_t now_us);
 
-  // Force-flush every pending batch whose sender is `pe` (no-op unbatched).
-  // Call when the owning PE goes idle or parks: latency floor for stragglers.
+  // Force-flush every pending batch whose sender is `pe`. Call when the
+  // owning PE goes idle or parks: latency floor for stragglers.
   void flush(PeId pe, std::uint64_t now_us);
 
   // Receiver side: feed one raw frame that arrived at `pe`. Returns the
@@ -130,9 +128,9 @@ class ChannelManager {
   std::vector<Bytes> on_frame(PeId pe, std::span<const std::uint8_t> frame,
                               std::uint64_t now_us);
 
-  // Timers for PE `pe`: retransmits for channels it sends on, plus (batched
-  // mode) aged batch flushes and due deferred acks for channels it receives
-  // on. Call from the owning PE's loop; cheap when nothing is due.
+  // Timers for PE `pe`: retransmits and aged batch flushes for channels it
+  // sends on, plus due deferred acks for channels it receives on. Call from
+  // the owning PE's loop; cheap when nothing is due.
   void service(PeId pe, std::uint64_t now_us);
 
   struct Stats {
@@ -143,7 +141,7 @@ class ChannelManager {
     std::uint64_t acks_sent = 0;        // standalone ack frames
     std::uint64_t decode_errors = 0;
     std::uint64_t unacked = 0;          // snapshot: still awaiting ack
-    std::uint64_t batch_flushes = 0;    // multi-payload frames sent
+    std::uint64_t batch_flushes = 0;    // batch frames sent
     std::uint64_t payloads_coalesced = 0;  // payloads inside those frames
   };
   Stats stats() const;  // aggregate over all channels
@@ -170,7 +168,7 @@ class ChannelManager {
     // Receiver state (owned by dst's side).
     std::uint64_t next_expected = 1;
     std::map<std::uint64_t, std::vector<Bytes>> out_of_order;
-    // Receiver deferred-ack state (batched mode): a standalone ack owed for
+    // Receiver deferred-ack state: a standalone ack owed for
     // data already delivered, sent by service() unless a reverse-direction
     // data frame piggybacks it first.
     bool ack_pending = false;

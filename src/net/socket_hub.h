@@ -1,5 +1,4 @@
-// The controller-side socket switchboard for ProcEngine (and the internal
-// relay of SocketTransport).
+// The controller-side socket switchboard for ProcEngine.
 //
 // One hub = one listening socket + a set of registered peer connections.
 // Per connection the hub runs a reader thread (socket → FrameCodec → route)
@@ -35,10 +34,26 @@
 #include "net/frame.h"
 #include "net/proto.h"
 #include "net/socket.h"
-#include "net/transport.h"
 #include "util/mpmc_queue.h"
 
 namespace dgr {
+
+// The hub's socket counters (ProcEngineStats::transport).
+struct TransportStats {
+  std::uint64_t frames_sent = 0;
+  std::uint64_t bytes_sent = 0;
+  std::uint64_t frames_received = 0;
+  std::uint64_t bytes_received = 0;
+  std::uint64_t accepts = 0;               // inbound connections accepted
+  std::uint64_t reconnects = 0;            // re-registrations after a drop
+  std::uint64_t partial_read_resumes = 0;  // frames completed across >1 read
+  std::uint64_t oversized_rejected = 0;    // frames over the size limit
+  std::uint64_t handshakes_rejected = 0;   // registrations refused
+  // Worker→worker data/seed frames that transited the switchboard rather
+  // than terminating at the controller.
+  std::uint64_t frames_relayed = 0;
+  std::uint64_t bytes_relayed = 0;
+};
 
 class SocketHub {
  public:

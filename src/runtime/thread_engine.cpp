@@ -4,7 +4,6 @@
 #include <shared_mutex>
 
 #include "core/invariants.h"
-#include "net/socket_transport.h"
 #include "net/wire.h"
 #include "obs/trace.h"
 #include "util/log.h"
@@ -35,19 +34,8 @@ ThreadEngine::ThreadEngine(Graph& g, NetOptions net)
   // Restructuring must not run from inside a task execution (the completing
   // task holds its vertex lock); the PE loops pick it up lock-free.
   controller_->set_deferred_restructure(true);
-  if (net_.transport == TransportKind::kInProc) {
-    transport_ = std::make_unique<InProcTransport>(g_.num_pes());
-  } else {
-    // Loopback cluster: every cross-PE message takes the full socket wire
-    // path (frame encode → kernel → hub relay → kernel → frame decode).
-    std::string addr = net_.transport_addr;
-    if (addr.empty() && net_.transport == TransportKind::kTcp)
-      addr = "tcp:127.0.0.1:0";
-    auto st = std::make_unique<SocketTransport>(g_.num_pes(), addr);
-    DGR_CHECK_MSG(st->ok(), "socket transport failed to come up");
-    transport_ = std::move(st);
-  }
   for (PeId pe = 0; pe < g_.num_pes(); ++pe) {
+    mail_.push_back(std::make_unique<Mailbox>());
     pools_.push_back(std::make_unique<TaskPool>());
     pool_mu_.push_back(std::make_unique<std::mutex>());
   }
@@ -65,8 +53,8 @@ ThreadEngine::ThreadEngine(Graph& g, NetOptions net)
   if (net_.enabled()) {
     fault_ = std::make_unique<FaultPlane>(
         g_.num_pes(), net_.faults,
-        [this](PeId src, PeId dst, FaultPlane::Bytes msg) {
-          transport_->send(src, dst, std::move(msg));
+        [this](PeId, PeId dst, FaultPlane::Bytes msg) {
+          mail_[dst]->deliver(std::move(msg));
         });
     fault_->set_inject_hook(
         [this](FaultKind k, PeId src, PeId, std::size_t bytes) {
@@ -134,7 +122,7 @@ void ThreadEngine::start() {
 
 void ThreadEngine::stop() {
   if (!running_.exchange(false)) return;
-  transport_->close();
+  for (auto& m : mail_) m->close();
   for (auto& t : threads_) t.join();
   threads_.clear();
   if (wd_thread_.joinable()) wd_thread_.join();
@@ -193,12 +181,12 @@ void ThreadEngine::spawn(Task t) {
     if (b.bytes >= net_.batch_bytes) flush_pair_fast(src, dst);
     return;
   }
-  transport_->send(src, dst, std::move(bytes));
+  mail_[dst]->deliver(std::move(bytes));
 }
 
 void ThreadEngine::maybe_backpressure(PeId src, PeId dst) {
   if (net_.backpressure_limit == 0) return;
-  const std::uint64_t backlog = transport_->pending(dst);
+  const std::uint64_t backlog = mail_[dst]->pending();
   std::uint8_t& armed = bp_armed_[src][dst];
   if (!armed) {
     // A congestion episode is in progress: sail through until the peer has
@@ -220,7 +208,7 @@ void ThreadEngine::maybe_backpressure(PeId src, PeId dst) {
   // still congested, disarm and let the episode run its course.
   for (std::uint32_t i = 0; i < net_.backpressure_spins; ++i) {
     std::this_thread::yield();
-    if (transport_->pending(dst) <= net_.backpressure_limit) return;
+    if (mail_[dst]->pending() <= net_.backpressure_limit) return;
   }
   armed = 0;
 }
@@ -287,7 +275,7 @@ void ThreadEngine::flush_pair_fast(PeId src, PeId dst) {
                   static_cast<std::uint16_t>(src), 0,
                   static_cast<std::uint64_t>(count),
                   static_cast<std::uint64_t>(bytes));
-  transport_->send_batch(src, dst, std::move(b.msgs));
+  mail_[dst]->deliver_batch(std::move(b.msgs));
   b.msgs.clear();
   b.bytes = 0;
   b.deadline_us = 0;
@@ -347,7 +335,7 @@ void ThreadEngine::pe_loop(PeId pe) {
     // execute the burst without further queue traffic (the bounded budget
     // keeps pause/restructure latency and flush staleness in check).
     buf.clear();
-    std::size_t n = transport_->drain(pe, drain_max, buf);
+    std::size_t n = mail_[pe]->drain(drain_max, buf);
     if (n == 0) {
       // Idle: staged batches flush now (latency floor for stragglers), and
       // idle is when retransmit timers matter — a dropped frame leaves the
@@ -367,7 +355,7 @@ void ThreadEngine::pe_loop(PeId pe) {
       // busy PEs for the timeslice that would drain the very backlog it is
       // polling for.
       if (net_.idle_wait_us > 0)
-        n = transport_->drain_wait(pe, drain_max, buf, net_.idle_wait_us);
+        n = mail_[pe]->drain_wait(drain_max, buf, net_.idle_wait_us);
       else
         std::this_thread::yield();
       if (n == 0) continue;
@@ -376,7 +364,7 @@ void ThreadEngine::pe_loop(PeId pe) {
     // per-PE hist lock is uncontended: only this thread observes its slot).
     if ((reg_.get(pe, obs::Counter::kMarkTasks) & 15) == 0)
       reg_.observe(pe, obs::Hist::kMarkQueueDepth,
-                   static_cast<double>(transport_->pending(pe) + n));
+                   static_cast<double>(mail_[pe]->pending() + n));
     if (chan_) {
       for (const auto& msg : buf) {
         // Raw frame → channel → zero or more exactly-once in-order payloads.
@@ -414,7 +402,7 @@ bool ThreadEngine::try_steal(PeId pe, std::vector<Mailbox::Bytes>& buf) {
   std::size_t deepest = 0;
   for (PeId v = 0; v < g_.num_pes(); ++v) {
     if (v == pe) continue;
-    const std::size_t backlog = transport_->pending(v);
+    const std::size_t backlog = mail_[v]->pending();
     if (backlog > deepest) {
       deepest = backlog;
       victim = v;
@@ -425,7 +413,7 @@ bool ThreadEngine::try_steal(PeId pe, std::vector<Mailbox::Bytes>& buf) {
   const std::size_t want =
       std::min<std::size_t>(deepest / 2, net_.drain_max ? net_.drain_max : 1);
   const std::size_t n =
-      transport_->drain(victim, std::max<std::size_t>(want, 1), buf);
+      mail_[victim]->drain(std::max<std::size_t>(want, 1), buf);
   if (n == 0) return false;
   reg_.add(pe, obs::Counter::kStealBatches);
   reg_.add(pe, obs::Counter::kStealTasks, n);
@@ -647,7 +635,7 @@ void ThreadEngine::watchdog_loop() {
     // Mailbox saturation, edge-triggered per PE (re-arms once the backlog
     // halves, so a persistently saturated mailbox warns once, not per tick).
     for (PeId pe = 0; pe < g_.num_pes(); ++pe) {
-      const std::uint64_t backlog = transport_->pending(pe);
+      const std::uint64_t backlog = mail_[pe]->pending();
       if (backlog >= wd_opt_.mailbox_saturation) {
         if (!mailbox_reported[pe]) {
           mailbox_reported[pe] = true;
@@ -728,7 +716,8 @@ ThreadEngineStats ThreadEngine::stats() const {
   s.steal_tasks = reg_.total(obs::Counter::kStealTasks);
   s.edge_cut = reg_.total(obs::Counter::kEdgeCut);
   s.edges_total = reg_.total(obs::Counter::kEdgesTotal);
-  s.mailbox_high_water = transport_->high_water();
+  for (const auto& m : mail_)
+    s.mailbox_high_water = std::max(s.mailbox_high_water, m->high_water());
   return s;
 }
 

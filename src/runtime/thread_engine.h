@@ -31,8 +31,8 @@
 #include "core/cooperation.h"
 #include "core/marker.h"
 #include "net/fault_plane.h"
+#include "net/mailbox.h"
 #include "net/reliable_channel.h"
-#include "net/transport.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/pool.h"
@@ -42,36 +42,27 @@ namespace dgr {
 // Sorted-order acquisition of per-vertex spinlocks; RAII release.
 class VertexLocks;
 
-// Message-plane configuration. With a nonzero fault schedule (or
-// force_reliable), every marking message crosses a FaultPlane wrapped in a
-// ChannelManager: the engine sees exactly-once in-order delivery while the
-// wire drops, duplicates, reorders and truncates under it. With the default
-// (no faults), messages go straight to the destination mailbox.
+// Message-plane configuration. Cross-PE messages land in per-PE mailboxes.
+// With a nonzero fault schedule (or force_reliable), every marking message
+// crosses a FaultPlane wrapped in a ChannelManager: the engine sees
+// exactly-once in-order delivery while the wire drops, duplicates, reorders
+// and truncates under it. With the default (no faults), messages go straight
+// to the destination mailbox.
 //
-// Batching (on by default): cross-PE spawns coalesce per directed PE pair —
-// on the fast path into per-pair staging rows flushed to the destination
-// mailbox as one deliver_batch, on the channel path into multi-payload
-// frames (the same knobs are forwarded to ReliableOptions). A batch flushes
-// when it reaches batch_bytes, ages past batch_flush_us, or its owning PE
-// goes idle or parks; receivers drain up to drain_max messages per loop
-// pass under a single mailbox lock. batch_bytes == 0 restores the exact
-// one-message-one-delivery PR 4 plane (the --no-batch leg).
-
-// Which Transport carries cross-PE messages (net/transport.h). kInProc is
-// the historical shared-memory mailbox plane; kUds/kTcp route every cross-PE
-// message through real kernel sockets (net/socket_transport.h) — same
-// engine, same fault/channel layering, loopback-cluster wire path.
-enum class TransportKind : std::uint8_t { kInProc = 0, kUds, kTcp };
-
+// Batching: cross-PE spawns coalesce per directed PE pair — on the fast path
+// into per-pair staging rows flushed to the destination mailbox as one
+// deliver_batch, on the channel path into multi-payload frames (the same
+// knobs are forwarded to ReliableOptions). A batch flushes when it reaches
+// batch_bytes, ages past batch_flush_us, or its owning PE goes idle or
+// parks; receivers drain up to drain_max messages per loop pass under a
+// single mailbox lock. batch_bytes == 0 (the --no-batch leg) delivers each
+// fast-path message on its own and puts each channel payload in its own
+// frame; the channel's acks stay deferred or piggybacked either way.
 struct NetOptions {
   FaultPlaneOptions faults;
   ReliableOptions reliable;
   bool force_reliable = false;  // channel layer even with a zero schedule
-  TransportKind transport = TransportKind::kInProc;
-  // Hub address for socket transports ("uds:PATH" / "tcp:HOST:PORT");
-  // empty picks a fresh /tmp socket (uds) or an ephemeral port (tcp).
-  std::string transport_addr;
-  std::uint32_t batch_bytes = 4096;    // size cap per staged pair (0 = off)
+  std::uint32_t batch_bytes = 4096;    // size cap per staged pair (0 = none)
   std::uint32_t batch_flush_us = 100;  // age cap on a staged batch
   std::uint32_t drain_max = 64;        // receiver: messages per drain pass
   // Soft backpressure, edge-triggered per directed PE pair: the first spawn
@@ -237,8 +228,6 @@ class ThreadEngine final : public TaskSink, public EngineHooks {
   // Null unless NetOptions::enabled() at construction.
   const FaultPlane* fault_plane() const { return fault_.get(); }
   const ChannelManager* channels() const { return chan_.get(); }
-  // The message plane underneath everything (never null).
-  const Transport& transport() const { return *transport_; }
   // Per-PE counters and histograms.
   obs::MetricsRegistry& metrics_registry() { return reg_; }
   const obs::MetricsRegistry& metrics_registry() const { return reg_; }
@@ -291,12 +280,11 @@ class ThreadEngine final : public TaskSink, public EngineHooks {
   std::unique_ptr<Mutator> mutator_;
   std::unique_ptr<Controller> controller_;
 
-  // Cross-PE delivery plane: InProcTransport (mailboxes) by default, a
-  // SocketTransport when NetOptions::transport selects uds/tcp.
-  std::unique_ptr<Transport> transport_;
+  // Cross-PE delivery plane: one mailbox per PE, indexed by destination.
+  std::vector<std::unique_ptr<Mailbox>> mail_;
   // Fast-path sender staging (fault-free plane only; the channel batches on
   // its own when active). out_[src][dst] holds cross-PE marking messages
-  // awaiting a coalesced send_batch. No locks: row src belongs to PE
+  // awaiting a coalesced deliver_batch. No locks: row src belongs to PE
   // thread src alone; external (tl_pe == -1) spawns bypass staging.
   struct OutBatch {
     std::vector<Mailbox::Bytes> msgs;

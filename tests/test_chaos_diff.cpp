@@ -651,15 +651,20 @@ TEST(ChaosDiffFaults, LossyBatchedPlaneStillAgreesWithOracle) {
   p.rounds = 3;
   p.net_on = lossy;          // channel-layer batching (default batch_bytes)
   p.net_off = lossy;
-  p.net_off.batch_bytes = 0; // same faults, unbatched frames
+  p.net_off.batch_bytes = 0; // one payload per frame, same protocol
   ChaosRig rig(p);
   rig.run_all();
-  // Both planes really misbehaved, and the batched channel really coalesced.
+  // Both planes really misbehaved, the batched channel really coalesced, and
+  // the control sent exactly one payload per frame.
   ASSERT_NE(rig.on().fault_plane(), nullptr);
   EXPECT_GT(rig.on().fault_plane()->stats().total_injected(), 0u);
   EXPECT_GT(rig.off().fault_plane()->stats().total_injected(), 0u);
   ASSERT_NE(rig.on().channels(), nullptr);
   EXPECT_GT(rig.on().channels()->stats().payloads_coalesced, 0u);
+  ASSERT_NE(rig.off().channels(), nullptr);
+  const ChannelManager::Stats off = rig.off().channels()->stats();
+  EXPECT_GT(off.batch_flushes, 0u);
+  EXPECT_EQ(off.payloads_coalesced, off.batch_flushes);
 }
 
 }  // namespace

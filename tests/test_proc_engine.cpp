@@ -305,12 +305,10 @@ TEST(ProcBatching, BarePathBatchesAndMatchesOracle) {
 }
 
 TEST(ProcBatching, ChannelPathUnderFaultsBatchesAndMatchesOracle) {
-  // The channel coalesces payloads too (ThreadEngine's default size). With
-  // one payload per channel frame, each lost frame costs an RTO round of
-  // go-back-32 retransmits plus the replies it draws, so at this drop rate
-  // the frame count would measure loss recovery rather than staging.
+  // Guards the channel's default batch size: with one payload per channel
+  // frame, each lost frame costs an RTO round of go-back-32 retransmits, and
+  // the relayed-frame bound below fails at this drop rate.
   ProcOptions popt;
-  popt.reliable.batch_bytes = 4096;
   popt.fault_seed = 77;
   popt.faults.drop = 0.10;
   popt.faults.duplicate = 0.10;

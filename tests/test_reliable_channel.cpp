@@ -1,6 +1,6 @@
 // Reliable-channel tests. The frame codec must reject truncation and
 // corruption recoverably; the ChannelManager must turn a scripted lossy /
-// duplicating / reordering transport into exactly-once in-order delivery;
+// duplicating / reordering wire into exactly-once in-order delivery;
 // and — the property the whole layer exists for — a ThreadEngine marking
 // cycle over an actively faulted message plane must still agree with the
 // sequential Oracle and sweep exactly GAR' (Property 1), with zero
@@ -95,9 +95,17 @@ TEST(ChannelFrame, AnySingleBitFlipRejected) {
   }
 }
 
-// Scripted transport: SendFn captures frames onto a wire queue (optionally
-// misbehaving first), pump() feeds them to the receiver. Time is a plain
-// counter, so retransmit timers fire exactly when the test says.
+// One payload per frame, so a test can reason frame by frame. Acks are still
+// deferred (or piggybacked) like on any batch.
+ReliableOptions per_frame() {
+  ReliableOptions opt;
+  opt.batch_bytes = 0;
+  return opt;
+}
+
+// Scripted wire: SendFn captures frames onto a queue (optionally misbehaving
+// first), pump() feeds them to the receiver. Time is a plain counter, so
+// retransmit timers and deferred acks fire exactly when the test says.
 struct Harness {
   std::deque<std::pair<PeId, Bytes>> wire;  // (deliver-to, frame)
   std::vector<Bytes> got;
@@ -105,9 +113,10 @@ struct Harness {
   std::set<std::uint64_t> drop;        // transmissions lost on the wire
   bool duplicate_data = false;
   bool drop_all_acks = false;
+  ReliableOptions opt;
   std::unique_ptr<ChannelManager> mgr;
 
-  explicit Harness(ReliableOptions opt = {}) {
+  explicit Harness(ReliableOptions o = per_frame()) : opt(o) {
     mgr = std::make_unique<ChannelManager>(
         2, opt, [this](PeId, PeId to, Bytes frame) {
           ++transmissions;
@@ -127,6 +136,12 @@ struct Harness {
         got.push_back(std::move(p));
     }
   }
+  // Let the receiver (PE 1) send its deferred ack, then deliver it.
+  void settle(std::uint64_t now) {
+    now += opt.batch_flush_us;
+    mgr->service(1, now);
+    pump(now);
+  }
 };
 
 TEST(ChannelManager, InOrderNoFaultsPassThrough) {
@@ -135,12 +150,13 @@ TEST(ChannelManager, InOrderNoFaultsPassThrough) {
   h.pump(1);
   ASSERT_EQ(h.got.size(), 20u);
   for (std::uint8_t i = 0; i < 20; ++i) EXPECT_EQ(h.got[i], payload(i));
+  h.settle(1);
   EXPECT_EQ(h.mgr->unacked(0, 1), 0u);
   EXPECT_EQ(h.mgr->stats().retransmits, 0u);
 }
 
 TEST(ChannelManager, LossRecoveredByRetransmit) {
-  ReliableOptions opt;
+  ReliableOptions opt = per_frame();
   opt.rto_initial_us = 100;
   opt.rto_max_us = 1000;
   Harness h(opt);
@@ -157,6 +173,7 @@ TEST(ChannelManager, LossRecoveredByRetransmit) {
   h.pump(now);
   ASSERT_EQ(h.got.size(), 5u);
   for (std::uint8_t i = 0; i < 5; ++i) EXPECT_EQ(h.got[i], payload(i));
+  h.settle(now);
   EXPECT_EQ(h.mgr->unacked(0, 1), 0u);
   const ChannelManager::Stats s = h.mgr->stats();
   EXPECT_EQ(s.retransmits, 5u);
@@ -172,6 +189,7 @@ TEST(ChannelManager, DuplicatedWireDeliversExactlyOnce) {
   ASSERT_EQ(h.got.size(), 10u);
   for (std::uint8_t i = 0; i < 10; ++i) EXPECT_EQ(h.got[i], payload(i));
   EXPECT_EQ(h.mgr->stats().dup_suppressed, 10u);
+  h.settle(1);
   EXPECT_EQ(h.mgr->unacked(0, 1), 0u);
 }
 
@@ -187,13 +205,14 @@ TEST(ChannelManager, ReorderedWireDeliversInOrder) {
 }
 
 TEST(ChannelManager, LostAcksRepairedByRetransmitReAck) {
-  ReliableOptions opt;
+  ReliableOptions opt = per_frame();
   opt.rto_initial_us = 100;
   Harness h(opt);
   h.drop_all_acks = true;
   std::uint64_t now = 0;
   for (std::uint8_t i = 0; i < 4; ++i) h.mgr->send(0, 1, payload(i), now);
   h.pump(now);
+  h.settle(now);                      // the deferred ack is lost
   ASSERT_EQ(h.got.size(), 4u);        // data got through...
   EXPECT_EQ(h.mgr->unacked(0, 1), 4u);  // ...but the sender does not know
 
@@ -202,12 +221,13 @@ TEST(ChannelManager, LostAcksRepairedByRetransmitReAck) {
   h.mgr->service(0, now);  // retransmit → receiver suppresses dups, re-acks
   h.pump(now);
   EXPECT_EQ(h.got.size(), 4u);  // still exactly once
+  h.settle(now);
   EXPECT_EQ(h.mgr->unacked(0, 1), 0u);
   EXPECT_EQ(h.mgr->stats().dup_suppressed, 4u);
 }
 
 TEST(ChannelManager, BackoffCapsAndResets) {
-  ReliableOptions opt;
+  ReliableOptions opt = per_frame();
   opt.rto_initial_us = 100;
   opt.rto_max_us = 400;
   Harness h(opt);
@@ -248,7 +268,23 @@ TEST(ChannelManager, GarbageFrameCountsDecodeError) {
   EXPECT_EQ(h.mgr->stats().decode_errors, 1u);
 }
 
-// ---- Batched protocol (ReliableOptions::batch_bytes > 0). ----
+TEST(ChannelManager, PerFrameAckPiggybacksOnReverseData) {
+  ReliableOptions opt = per_frame();
+  opt.rto_initial_us = 100000;
+  Harness h(opt);
+  h.mgr->send(0, 1, payload(1), 0);  // one payload: sent at once
+  h.pump(0);
+  ASSERT_EQ(h.got.size(), 1u);
+  EXPECT_EQ(h.mgr->unacked(0, 1), 1u);
+  h.mgr->send(1, 0, payload(2), 10);  // reverse data carries the ack
+  h.pump(10);
+  ASSERT_EQ(h.got.size(), 2u);
+  EXPECT_EQ(h.mgr->unacked(0, 1), 0u);
+  EXPECT_EQ(h.mgr->stats().acks_sent, 0u);
+  EXPECT_EQ(h.mgr->unacked(1, 0), 1u);
+}
+
+// ---- Coalescing (ReliableOptions::batch_bytes above one payload). ----
 
 TEST(ChannelBatching, SizeCapCoalescesManyPayloadsPerFrame) {
   ReliableOptions opt;

@@ -1,4 +1,4 @@
-// Socket-transport isolation tests (docs/CLUSTER.md): the frame codec under
+// Socket-layer isolation tests (docs/CLUSTER.md): the frame codec under
 // adversarial segmentation, and the hub's registration/reconnect discipline —
 // everything below the engines, exercised without an engine.
 #include <gtest/gtest.h>
@@ -14,8 +14,6 @@
 #include "net/proto.h"
 #include "net/socket.h"
 #include "net/socket_hub.h"
-#include "net/socket_transport.h"
-#include "net/transport.h"
 
 namespace dgr {
 namespace {
@@ -470,6 +468,28 @@ TEST(SocketHub, DataFramesRelayToEndpointOwner) {
   EXPECT_EQ(in.src, 1u);
   EXPECT_EQ(in.dst, 3u);
   EXPECT_EQ(in.payload, out.payload);
+
+  // A 100-message batch, one message empty, crosses the hub as one frame,
+  // byte for byte, and splits back into the messages in order.
+  std::vector<Msg> sent;
+  NetFrame batch = data_frame(0, 2, {});
+  for (std::uint32_t i = 0; i < 100; ++i) {
+    sent.push_back(i == 40 ? Msg{}
+                           : Msg{static_cast<std::uint8_t>(i),
+                                 static_cast<std::uint8_t>(i >> 8)});
+    batch_append(batch.payload, sent.back());
+  }
+  const std::uint64_t relayed = rig.hub().stats().frames_relayed;
+  const auto batch_wire = encode_frame(batch);
+  ASSERT_TRUE(w0.write_all(batch_wire.data(), batch_wire.size()));
+  const NetFrame got = HubRig::read_frame(w1);
+  EXPECT_EQ(got.type, FrameType::kData);
+  EXPECT_EQ(got.dst, 2u);
+  EXPECT_EQ(got.payload, batch.payload);
+  bool ok = false;
+  EXPECT_EQ(split_copy(got.payload, &ok), sent);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(rig.hub().stats().frames_relayed - relayed, 1u);
 }
 
 // ---- Membership plumbing: forced drops, slot reclaim, ownership remap. ----
@@ -605,70 +625,6 @@ TEST(SocketHub, FencedSlotRejectsReRegistration) {
   ASSERT_TRUE(other.valid());
   EXPECT_EQ(HubRig::do_register(other, 0).type, FrameType::kRegisterAck);
 }
-
-// ---- SocketTransport: the Transport contract over real sockets. ----
-
-class SocketTransportKinds
-    : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(SocketTransportKinds, FifoPerPairAndBatch) {
-  SocketTransport t(4, GetParam());
-  ASSERT_TRUE(t.ok()) << t.error();
-  EXPECT_EQ(t.endpoints(), 4u);
-
-  for (std::uint8_t i = 0; i < 50; ++i) t.send(0, 2, {i});
-  std::vector<Transport::Bytes> batch;
-  for (std::uint8_t i = 50; i < 60; ++i) batch.push_back({i});
-  t.send_batch(1, 2, std::move(batch));
-
-  std::vector<Transport::Bytes> got;
-  while (got.size() < 60)
-    t.drain_wait(2, 64, got, /*timeout_us=*/1000);
-  // Per-pair FIFO: 0→2 bytes ascend, and so do 1→2's, independently.
-  std::uint8_t last_a = 0, last_b = 49;
-  for (const auto& m : got) {
-    ASSERT_EQ(m.size(), 1u);
-    if (m[0] < 50) {
-      EXPECT_GE(m[0], last_a);
-      last_a = m[0];
-    } else {
-      EXPECT_GT(m[0], last_b);
-      last_b = m[0];
-    }
-  }
-  const TransportStats s = t.stats();
-  EXPECT_GE(s.frames_sent, 60u);
-  EXPECT_EQ(s.connects, 4u);
-  t.close();
-}
-
-TEST_P(SocketTransportKinds, SendBatchTravelsAsOneFrameInOrder) {
-  SocketTransport t(2, GetParam());
-  ASSERT_TRUE(t.ok()) << t.error();
-  const TransportStats before = t.stats();
-  std::vector<Transport::Bytes> batch;
-  for (std::uint32_t i = 0; i < 100; ++i)
-    batch.push_back({static_cast<std::uint8_t>(i),
-                     static_cast<std::uint8_t>(i >> 8)});
-  batch[40].clear();  // a zero-length message rides along too
-  const std::vector<Transport::Bytes> sent = batch;
-  t.send_batch(0, 1, std::move(batch));
-
-  std::vector<Transport::Bytes> got;
-  for (int i = 0; i < 5000 && got.size() < 100; ++i)
-    t.drain_wait(1, 128, got, /*timeout_us=*/1000);
-  EXPECT_EQ(got, sent);
-  const TransportStats after = t.stats();
-  // The whole batch crossed the hub as one frame.
-  EXPECT_EQ(after.frames_relayed - before.frames_relayed, 1u);
-  t.close();
-}
-
-INSTANTIATE_TEST_SUITE_P(Addrs, SocketTransportKinds,
-                         ::testing::Values("", "tcp:127.0.0.1:0"),
-                         [](const ::testing::TestParamInfo<const char*>& i) {
-                           return i.index == 0 ? "uds" : "tcp";
-                         });
 
 }  // namespace
 }  // namespace dgr
