@@ -54,8 +54,9 @@ RunResult run_concurrent(std::uint64_t seed) {
   while (!m.result_of(root).has_value()) {
     if (!eng.step()) break;
   }
-  r.total_steps = eng.metrics().steps;
-  r.reduction_steps = eng.metrics().reduction_tasks;
+  r.total_steps = eng.steps();
+  r.reduction_steps =
+      eng.metrics_registry().total(obs::Counter::kReductionTasks);
   r.collections = eng.controller().cycles_completed();
   // The concurrent collector's only stop-the-world moment is restructuring:
   // a scan of live vertices (quiesced in the threaded engine). Use the
@@ -63,7 +64,7 @@ RunResult run_concurrent(std::uint64_t seed) {
   const std::uint64_t restructure_scan = g.total_live();
   r.max_pause = restructure_scan;
   r.total_pause = restructure_scan * r.collections;
-  r.remote_msgs = eng.metrics().remote_messages;
+  r.remote_msgs = eng.metrics_registry().total(obs::Counter::kRemoteMessages);
   r.result = m.result_of(root) ? m.result_of(root)->as_int() : -1;
   return r;
 }
@@ -94,8 +95,9 @@ RunResult run_stw(std::uint64_t seed) {
     }
     if (!eng.step()) break;
   }
-  r.total_steps = eng.metrics().steps + stw.total_pause_work();
-  r.reduction_steps = eng.metrics().reduction_tasks;
+  r.total_steps = eng.steps() + stw.total_pause_work();
+  r.reduction_steps =
+      eng.metrics_registry().total(obs::Counter::kReductionTasks);
   r.result = m.result_of(root) ? m.result_of(root)->as_int() : -1;
   return r;
 }

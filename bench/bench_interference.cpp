@@ -35,9 +35,11 @@ Row run(std::uint32_t tax, bool collect, std::uint64_t seed) {
   }
   rig.eng.controller().set_continuous(false);
   Row r;
-  r.total_steps = rig.eng.metrics().steps;
-  r.reduction_tasks = rig.eng.metrics().reduction_tasks;
-  r.mark_tasks = rig.eng.metrics().mark_tasks + rig.eng.metrics().return_tasks;
+  const obs::MetricsRegistry& reg = rig.eng.metrics_registry();
+  r.total_steps = rig.eng.steps();
+  r.reduction_tasks = reg.total(obs::Counter::kReductionTasks);
+  r.mark_tasks = reg.total(obs::Counter::kMarkTasks) +
+                 reg.total(obs::Counter::kReturnTasks);
   r.cycles = rig.eng.controller().cycles_completed();
   const auto res = rig.machine->result_of(rig.root);
   r.result = res ? res->as_int() : -1;

@@ -38,12 +38,12 @@ MarkRow run_mark(std::uint32_t latency, std::uint64_t seed) {
   sopt.max_latency = latency;
   SimEngine eng(g, sopt);
   eng.set_root(b.root);
-  const std::uint64_t t0 = eng.metrics().steps;
+  const std::uint64_t t0 = eng.steps();
   eng.controller().start_cycle(CycleOptions{false});
   eng.run_until_cycle_done();
   MarkRow r;
   r.marks = eng.controller().last().stats_r.marks;
-  r.span = eng.metrics().steps - t0;
+  r.span = eng.steps() - t0;
   const Histogram lat =
       eng.metrics_registry().merged_hist(obs::Hist::kMsgLatency);
   r.lat_p50 = lat.p50();
@@ -71,8 +71,8 @@ RunRow run_fib(std::uint32_t latency, std::uint64_t seed) {
   RunRow r;
   const auto res = rig.machine->result_of(rig.root);
   r.result = res ? res->as_int() : -1;
-  r.reduction = rig.eng.metrics().reduction_tasks;
-  r.span = rig.eng.metrics().steps;
+  r.reduction = rig.eng.metrics_registry().total(obs::Counter::kReductionTasks);
+  r.span = rig.eng.steps();
   return r;
 }
 

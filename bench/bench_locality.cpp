@@ -44,9 +44,10 @@ Row run(Placement placement, std::uint32_t pes, std::uint64_t seed) {
   eng.controller().set_continuous(false);
   Row r;
   r.result = m.result_of(root) ? m.result_of(root)->as_int() : -1;
-  r.remote = eng.metrics().remote_messages;
-  r.local = eng.metrics().local_messages;
-  r.bytes = eng.metrics().bytes_sent;
+  const obs::MetricsRegistry& reg = eng.metrics_registry();
+  r.remote = reg.total(obs::Counter::kRemoteMessages);
+  r.local = reg.total(obs::Counter::kLocalMessages);
+  r.bytes = reg.total(obs::Counter::kBytesSent);
   return r;
 }
 

@@ -58,9 +58,11 @@ void table() {
     const double mvps =
         static_cast<double>(eng.controller().last().stats_r.marks) /
         (ms * 1e3);
-    std::printf("%6u %12.2f %14.2f %16llu %14llu\n", pes, ms, mvps,
-                static_cast<unsigned long long>(eng.stats().remote_messages),
-                static_cast<unsigned long long>(eng.stats().bytes_sent));
+    const obs::MetricsRegistry& reg = eng.metrics_registry();
+    std::printf(
+        "%6u %12.2f %14.2f %16llu %14llu\n", pes, ms, mvps,
+        static_cast<unsigned long long>(reg.total(obs::Counter::kRemoteMessages)),
+        static_cast<unsigned long long>(reg.total(obs::Counter::kBytesSent)));
   }
 }
 
@@ -109,9 +111,11 @@ void BM_ThreadedCycle(benchmark::State& state) {
           ? static_cast<double>(count_marked(g, eng.marker())) *
                 static_cast<double>(state.iterations()) / wall_s
           : 0.0;
-  state.counters["boundary_dedup"] = double(eng.stats().boundary_dedup);
-  state.counters["steal_tasks"] = double(eng.stats().steal_tasks);
-  state.counters["edge_cut"] = double(eng.stats().edge_cut);
+  const obs::MetricsRegistry& reg = eng.metrics_registry();
+  state.counters["boundary_dedup"] =
+      double(reg.total(obs::Counter::kBoundaryDedup));
+  state.counters["steal_tasks"] = double(reg.total(obs::Counter::kStealTasks));
+  state.counters["edge_cut"] = double(reg.total(obs::Counter::kEdgeCut));
   report_obs_counters(state, eng.metrics_registry());
   state.counters["mailbox_high_water"] =
       double(eng.stats().mailbox_high_water);
@@ -129,7 +133,7 @@ void BM_ThreadedCycleNoBatch(benchmark::State& state) {
   const auto pes = static_cast<std::uint32_t>(state.range(0));
   Graph g = make_graph(pes, 1 << 15, 7);  // full-size: see BM_ThreadedCycle
   NetOptions net;
-  net.batch_bytes = 0;
+  net.reliable.batch_bytes = 0;
   ThreadEngine eng(g, net);
   eng.set_root(root_of(g));
   eng.start();

@@ -102,7 +102,8 @@ ChurnResult run_marker(int cyclic_pct) {
   eng.controller().start_cycle(copt);
   eng.run_until_cycle_done();
   r.reclaimed = eng.controller().last().swept;
-  r.messages = eng.metrics().remote_messages + eng.metrics().local_messages;
+  r.messages = eng.metrics_registry().total(obs::Counter::kRemoteMessages) +
+               eng.metrics_registry().total(obs::Counter::kLocalMessages);
   Oracle o(g, root, {});
   r.leaked = o.count_GAR();
   return r;

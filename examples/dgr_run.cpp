@@ -40,10 +40,10 @@
 //                    reliable channel (exactly-once recovery) and implies
 //                    --audit 1 unless --audit was given (docs/FAULTS.md)
 //   --fault-seed S   fault-schedule seed (default 1; deterministic per pair)
-//   --batch-bytes N  threaded audit phase: coalesce outgoing messages per
-//                    directed PE pair into batches of up to N bytes, on the
-//                    mailbox path and in the reliable channel's frames
-//                    (default 4096; see docs/PERF.md)
+//   --batch-bytes N  audit phase: coalesce outgoing messages per directed
+//                    PE pair into batches of up to N bytes, on the threaded
+//                    mailbox path and in the reliable channel's frames (the
+//                    workers' too) (default 4096; see docs/PERF.md)
 //   --batch-us U     flush a partial batch once its oldest message is U
 //                    microseconds old (default 100)
 //   --no-batch       same as --batch-bytes 0: each message is its own
@@ -264,11 +264,13 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--fault-trunc") && i + 1 < argc) {
       net.faults.spec.truncate = std::atof(argv[++i]);
     } else if (!std::strcmp(argv[i], "--batch-bytes") && i + 1 < argc) {
-      net.batch_bytes = static_cast<std::uint32_t>(std::atoi(argv[++i]));
+      net.reliable.batch_bytes =
+          static_cast<std::uint32_t>(std::atoi(argv[++i]));
     } else if (!std::strcmp(argv[i], "--batch-us") && i + 1 < argc) {
-      net.batch_flush_us = static_cast<std::uint32_t>(std::atoi(argv[++i]));
+      net.reliable.batch_flush_us =
+          static_cast<std::uint64_t>(std::atoll(argv[++i]));
     } else if (!std::strcmp(argv[i], "--no-batch")) {
-      net.batch_bytes = 0;  // one message per delivery / channel frame
+      net.reliable.batch_bytes = 0;  // one message per delivery / frame
     } else if (!std::strcmp(argv[i], "--partition") && i + 1 < argc) {
       if (!parse_placement(argv[++i], &placement)) {
         std::fprintf(stderr,
@@ -323,7 +325,7 @@ int main(int argc, char** argv) {
     gc = true;
     audit_period = 1;
   }
-  if (net.enabled() || workers > 0) {
+  if (net.faults.spec.any() || workers > 0) {
     // Faults and multi-process runs exercise the audit phase; make sure it
     // runs, auditing every cycle unless the user chose a coarser period.
     gc = true;
@@ -436,8 +438,9 @@ int main(int argc, char** argv) {
         (unsigned long long)ms.evals, (unsigned long long)ms.instantiations,
         (unsigned long long)ms.vertices_allocated);
     std::printf("# steps=%llu remote_msgs=%llu gc_cycles=%llu swept=%llu\n",
-                (unsigned long long)engine.metrics().steps,
-                (unsigned long long)engine.metrics().remote_messages,
+                (unsigned long long)engine.steps(),
+                (unsigned long long)engine.metrics_registry().total(
+                    obs::Counter::kRemoteMessages),
                 (unsigned long long)engine.controller().cycles_completed(),
                 (unsigned long long)engine.controller().total_swept());
   }
@@ -473,8 +476,8 @@ int main(int argc, char** argv) {
     popt.workers = workers;
     popt.tcp = worker_tcp;
     if (worker_bin) popt.worker_bin = worker_bin;
-    popt.faults = net.faults.spec;
-    popt.fault_seed = net.faults.seed;
+    popt.faults = net.faults;
+    popt.reliable = net.reliable;
     ProcEngine peng(graph, popt);
     peng.set_root(root);
     // Epoch hand-off, as in the threaded phase: the sim marker left

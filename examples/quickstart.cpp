@@ -56,14 +56,15 @@ int main() {
   const auto result = machine.result_of(root);
   std::printf("sum of squares 1..100 = %s   (expected 338350)\n",
               result->to_string().c_str());
+  const obs::MetricsRegistry& reg = engine.metrics_registry();
   std::printf("tasks executed: %llu reduction, %llu marking\n",
-              (unsigned long long)engine.metrics().reduction_tasks,
-              (unsigned long long)(engine.metrics().mark_tasks +
-                                   engine.metrics().return_tasks));
+              (unsigned long long)reg.total(obs::Counter::kReductionTasks),
+              (unsigned long long)(reg.total(obs::Counter::kMarkTasks) +
+                                   reg.total(obs::Counter::kReturnTasks)));
   std::printf("collector: %llu cycles, %llu vertices reclaimed\n",
               (unsigned long long)engine.controller().cycles_completed(),
               (unsigned long long)engine.controller().total_swept());
   std::printf("cross-PE messages: %llu\n",
-              (unsigned long long)engine.metrics().remote_messages);
+              (unsigned long long)reg.total(obs::Counter::kRemoteMessages));
   return result->as_int() == 338350 ? 0 : 1;
 }

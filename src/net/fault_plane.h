@@ -71,8 +71,9 @@ struct FaultPlaneOptions {
 class FaultPlane {
  public:
   using Bytes = std::vector<std::uint8_t>;
-  // Downstream delivery toward the destination: ThreadEngine pushes into
-  // the destination PE's mailbox.
+  // Downstream delivery toward the destination, wired by MessagePlane
+  // (runtime/message_plane.h): ThreadEngine pushes into the destination
+  // PE's mailbox, WorkerEngine stages into its kData batch for dst.
   using DeliverFn = std::function<void(PeId src, PeId dst, Bytes msg)>;
   // Observability hook, called while a fault is injected: kind, sending and
   // receiving PE, and the affected message's size in bytes.

@@ -48,7 +48,6 @@ Bytes encode_worker_config(const WorkerConfig& c) {
   w.u32(c.num_pes);
   w.u32(c.pe_begin);
   w.u32(c.pe_count);
-  w.u8(c.use_channel ? 1 : 0);
   w.u64(c.fault_seed);
   w.u64(d2u(c.faults.drop));
   w.u64(d2u(c.faults.duplicate));
@@ -70,7 +69,6 @@ bool decode_worker_config(const Bytes& b, WorkerConfig& out) {
   out.num_pes = r.u32();
   out.pe_begin = r.u32();
   out.pe_count = r.u32();
-  out.use_channel = r.u8() != 0;
   out.fault_seed = r.u64();
   out.faults.drop = u2d(r.u64());
   out.faults.duplicate = u2d(r.u64());

@@ -28,9 +28,11 @@
 
 namespace dgr {
 
-// 2: kData payloads are length-prefixed message batches (net/frame.h). A
-// version-1 worker would misread them, so the hub refuses it at kRegister.
-inline constexpr std::uint32_t kProtoVersion = 2;
+// 2: kData payloads are length-prefixed message batches (net/frame.h).
+// 3: WorkerConfig loses its channel-enable byte (the channel runs exactly
+// when the fault schedule is nonzero). An older worker would misread
+// either, so the hub refuses it at kRegister.
+inline constexpr std::uint32_t kProtoVersion = 3;
 // kRegister flag bits.
 inline constexpr std::uint32_t kRegisterFlagReconnect = 1u << 0;
 // "Assign me any free slot" worker index in a kRegister payload.
@@ -44,9 +46,10 @@ struct WorkerConfig {
   std::uint32_t num_pes = 0;
   std::uint32_t pe_begin = 0;  // contiguous owned PE block [pe_begin,
   std::uint32_t pe_count = 0;  //                            pe_begin+pe_count)
-  bool use_channel = false;    // wrap worker<->worker data in ChannelManager
+  // Worker<->worker message plane: a nonzero schedule runs the reliable
+  // channel over a fault plane seeded with fault_seed, worker side.
   std::uint64_t fault_seed = 1;
-  FaultSpec faults;            // injected above the channel, worker side
+  FaultSpec faults;
   ReliableOptions reliable;
   // Telemetry plane: capture a worker-side trace ring and ship it at every
   // quiesce (honored only in DGR_TRACE builds; counters always ship).

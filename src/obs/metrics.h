@@ -1,6 +1,6 @@
-// Per-PE metrics registry — the single home for runtime counters and
-// histograms, shared by both engines (replacing the ad-hoc SimMetrics /
-// ThreadEngineStats counter fields).
+// Per-PE metrics registry — the only source of runtime counters and
+// histograms on every engine (sim, threaded, and the worker processes whose
+// deltas ProcEngine merges). Read totals with total(Counter::k...).
 //
 // Design: one cache-line-aligned slot per PE holding relaxed atomic counters
 // plus log-bucketed histograms behind a per-slot spinlock. Increments are a

@@ -10,7 +10,6 @@
 #include <cstdlib>
 #include <thread>
 
-#include "core/invariants.h"
 #include "graph/partitioner.h"
 #include "net/wire.h"
 #include "util/assert.h"
@@ -29,12 +28,13 @@ ProcEngine::ProcEngine(Graph& g, ProcOptions opt)
       opt_(std::move(opt)),
       num_workers_(std::min(opt_.workers == 0 ? 1u : opt_.workers,
                             g.num_pes())),
+      marker_(std::make_unique<Marker>(g, *this)),
       metrics_(g.num_pes()),
-      t0_(std::chrono::steady_clock::now()) {
+      t0_(std::chrono::steady_clock::now()),
+      audit_(g, *marker_) {
   clock_.resize(num_workers_);
   tele_.resize(num_workers_);
   worker_events_.resize(num_workers_);
-  marker_ = std::make_unique<Marker>(g_, *this);
   mutator_ = std::make_unique<Mutator>(g_, *marker_);
   controller_ =
       std::make_unique<Controller>(g_, *marker_, *this, VertexId::invalid());
@@ -84,9 +84,8 @@ WorkerConfig ProcEngine::make_config(std::uint32_t worker) const {
   c.num_pes = g_.num_pes();
   c.pe_begin = slots_[worker].pe_begin;
   c.pe_count = slots_[worker].pe_count;
-  c.use_channel = opt_.use_channel();
-  c.fault_seed = opt_.fault_seed + worker;  // distinct chaos per worker
-  c.faults = opt_.faults;
+  c.fault_seed = opt_.faults.seed + worker;  // distinct chaos per worker
+  c.faults = opt_.faults.spec;
   c.reliable = opt_.reliable;
   c.trace_enabled = worker_trace_;
   c.trace_capacity = trace_capacity_;
@@ -698,59 +697,11 @@ void ProcEngine::atomically(std::span<const VertexId> /*vs*/,
   fn();
 }
 
-void ProcEngine::enable_audit(AuditOptions opt) {
-  audit_opt_ = opt;
-  audit_enabled_ = opt.period != 0;
-}
-
-void ProcEngine::quiesce_begin() { maybe_audit(); }
-
-void ProcEngine::maybe_audit() {
-  audit_swept_check_ = false;
-  if (!audit_enabled_) return;
-  const std::uint64_t cyc = controller_->cycles_completed() + 1;
-  if (cyc % audit_opt_.period != 0) return;
-  ++audit_stats_.audits;
-  auto fail = [&](const std::string& what) {
-    ++audit_stats_.violations;
-    audit_stats_.last_what = what;
-    DGR_ERROR("proc audit violation (cycle %llu): %s",
-              (unsigned long long)cyc, what.c_str());
-  };
-  if (audit_opt_.check_invariants) {
-    // Same safe point as the threaded engine, reached differently: every
-    // worker's kMarkReport for the wave has been merged, so the
-    // authoritative graph holds the complete terminated marking.
-    for (const Plane plane : {Plane::kR, Plane::kT}) {
-      if (!marker_->active(plane) || !marker_->done(plane)) continue;
-      if (marker_->cycle_tainted(plane)) continue;
-      const InvariantReport rep =
-          check_marking_invariants(g_, *marker_, plane, {});
-      if (!rep.ok) fail(rep.what);
-    }
-  }
-  if (audit_opt_.check_accounting) {
-    const AccountingReport acc = check_heap_accounting(g_, *marker_);
-    if (!acc.ok) {
-      fail(acc.what);
-    } else if (marker_->active(Plane::kR) && marker_->done(Plane::kR)) {
-      audit_expected_gar_ = acc.gar;
-      audit_swept_check_ = true;
-    }
-  }
-}
-
-void ProcEngine::on_cycle_complete(const CycleResult& res) {
-  if (!audit_swept_check_) return;
-  audit_swept_check_ = false;
-  if (res.swept != audit_expected_gar_) {
-    ++audit_stats_.violations;
-    audit_stats_.last_what =
-        "Property 1 violated: swept " + std::to_string(res.swept) +
-        " != GAR' " + std::to_string(audit_expected_gar_);
-    DGR_ERROR("proc audit violation (cycle %llu): %s",
-              (unsigned long long)res.cycle, audit_stats_.last_what.c_str());
-  }
+// Same safe point as the threaded engine, reached differently: every
+// worker's kMarkReport for the wave has been merged, so the authoritative
+// graph holds the complete terminated marking.
+void ProcEngine::quiesce_begin() {
+  audit_.at_safe_point(controller_->cycles_completed() + 1);
 }
 
 obs::TraceBuffer* ProcEngine::enable_trace(std::size_t capacity) {
@@ -761,6 +712,7 @@ obs::TraceBuffer* ProcEngine::enable_trace(std::size_t capacity) {
     marker_->set_trace(trace_.get());
     mutator_->set_trace(trace_.get());
     controller_->set_trace(trace_.get());
+    audit_.set_trace(trace_.get());
     worker_trace_ = true;
     trace_capacity_ = static_cast<std::uint32_t>(capacity);
   }

@@ -41,8 +41,8 @@
 #include "net/socket_hub.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "runtime/audit.h"
 #include "runtime/pool.h"
-#include "runtime/thread_engine.h"  // AuditOptions / AuditStats
 
 namespace dgr {
 
@@ -62,13 +62,11 @@ struct ProcOptions {
   // dropped (they surface as worker_lost instead of hanging the barrier).
   // 0 disables the watchdog.
   int barrier_timeout_ms = 10000;
-  // Worker-side message plane (worker↔worker marks). Faults imply the
-  // reliable channel, mirroring NetOptions::enabled().
-  FaultSpec faults;
-  std::uint64_t fault_seed = 1;
-  bool force_reliable = false;
+  // Worker-side message plane (worker↔worker marks), the same pair
+  // NetOptions holds: the reliable channel runs exactly when the fault
+  // schedule is nonzero. Worker w seeds its schedule with faults.seed + w.
+  FaultPlaneOptions faults;
   ReliableOptions reliable;
-  bool use_channel() const { return faults.any() || force_reliable; }
 };
 
 struct ProcEngineStats {
@@ -147,7 +145,9 @@ class ProcEngine final : public TaskSink, public EngineHooks {
       const std::function<bool(const Task&)>& kill,
       const std::function<std::uint8_t(const Task&)>& prio) override;
   void quiesce_begin() override;
-  void on_cycle_complete(const CycleResult& res) override;
+  void on_cycle_complete(const CycleResult& res) override {
+    audit_.on_cycle_complete(res);
+  }
   void on_plane_begin(Plane p) override;
 
   // Serialized mutation section (vertex list unused: no concurrent marking
@@ -157,10 +157,10 @@ class ProcEngine final : public TaskSink, public EngineHooks {
   void atomically(std::span<const VertexId> vs,
                   const std::function<void()>& fn);
 
-  // Safe-point auditing inside the restructuring window (same checks as
-  // ThreadEngine: §5.4.1 invariants + Property 1 accounting + swept==GAR').
-  void enable_audit(AuditOptions opt = {});
-  const AuditStats& audit_stats() const { return audit_stats_; }
+  // Safe-point auditing (runtime/audit.h) inside every period-th
+  // restructuring window, once every worker's report is merged.
+  void enable_audit(AuditOptions opt = {}) { audit_.enable(opt); }
+  const AuditStats& audit_stats() const { return audit_.stats(); }
 
   // Controller-side trace ring. Call BEFORE start(): the same call arms
   // worker-side capture (each worker's kRegisterAck config carries
@@ -230,7 +230,6 @@ class ProcEngine final : public TaskSink, public EngineHooks {
   // every worker after registration and again at each plane begin, so the
   // estimate tightens as the run warms up (min-RTT sample wins).
   void send_clock_probe(std::uint32_t worker);
-  void maybe_audit();
   std::uint64_t now_us() const {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
@@ -301,11 +300,6 @@ class ProcEngine final : public TaskSink, public EngineHooks {
   std::vector<std::unique_ptr<TaskPool>> pools_;
 
   ProcEngineStats stats_;
-  AuditOptions audit_opt_;
-  bool audit_enabled_ = false;
-  AuditStats audit_stats_;
-  bool audit_swept_check_ = false;
-  std::size_t audit_expected_gar_ = 0;
 
   std::unique_ptr<obs::TraceBuffer> trace_;
   // Worker-side capture request recorded by enable_trace, read by
@@ -330,6 +324,7 @@ class ProcEngine final : public TaskSink, public EngineHooks {
   // come out of worker_traces().
   std::vector<std::vector<obs::TraceEvent>> worker_events_;
   std::chrono::steady_clock::time_point t0_;
+  Auditor audit_;
 };
 
 }  // namespace dgr

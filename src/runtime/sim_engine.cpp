@@ -22,18 +22,6 @@ SimEngine::SimEngine(Graph& g, SimOptions opt)
 
 SimEngine::~SimEngine() = default;
 
-SimMetrics SimEngine::metrics() const {
-  SimMetrics m;
-  m.steps = steps_;
-  m.mark_tasks = reg_.total(obs::Counter::kMarkTasks);
-  m.return_tasks = reg_.total(obs::Counter::kReturnTasks);
-  m.reduction_tasks = reg_.total(obs::Counter::kReductionTasks);
-  m.remote_messages = reg_.total(obs::Counter::kRemoteMessages);
-  m.local_messages = reg_.total(obs::Counter::kLocalMessages);
-  m.bytes_sent = reg_.total(obs::Counter::kBytesSent);
-  return m;
-}
-
 obs::TraceBuffer* SimEngine::enable_trace(std::size_t capacity) {
 #if DGR_TRACE_ENABLED
   if (!trace_) {

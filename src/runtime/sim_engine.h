@@ -54,20 +54,6 @@ struct SimOptions {
   std::uint32_t max_latency = 0;
 };
 
-// Aggregate counter view assembled from the per-PE obs::MetricsRegistry —
-// kept as a stable convenience facade for tests, benches and examples; the
-// registry itself (metrics_registry()) carries the per-PE breakdowns and
-// histograms.
-struct SimMetrics {
-  std::uint64_t steps = 0;
-  std::uint64_t mark_tasks = 0;
-  std::uint64_t return_tasks = 0;
-  std::uint64_t reduction_tasks = 0;
-  std::uint64_t remote_messages = 0;  // spawns crossing a PE boundary
-  std::uint64_t local_messages = 0;
-  std::uint64_t bytes_sent = 0;  // wire-size estimate of remote messages
-};
-
 class SimEngine final : public TaskSink, public EngineHooks {
  public:
   explicit SimEngine(Graph& g, SimOptions opt = {});
@@ -78,8 +64,8 @@ class SimEngine final : public TaskSink, public EngineHooks {
   Mutator& mutator() { return *mutator_; }
   Controller& controller() { return *controller_; }
   Rng& rng() { return rng_; }
-  // Aggregate counter snapshot (see SimMetrics).
-  SimMetrics metrics() const;
+  // Simulated steps taken so far (the trace clock).
+  std::uint64_t steps() const { return steps_; }
   // Per-PE counters and histograms.
   obs::MetricsRegistry& metrics_registry() { return reg_; }
   const obs::MetricsRegistry& metrics_registry() const { return reg_; }

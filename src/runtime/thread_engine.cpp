@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <shared_mutex>
 
-#include "core/invariants.h"
 #include "net/wire.h"
 #include "obs/trace.h"
 #include "util/log.h"
@@ -12,6 +11,15 @@ namespace dgr {
 
 namespace {
 thread_local int tl_pe = -1;  // PE id of the current thread, -1 = external
+
+// Receiver: messages taken per drain pass (and the cap on one steal).
+constexpr std::size_t kDrainMax = 64;
+// Soft backpressure (see maybe_backpressure): the backlog that opens a
+// congestion episode, and the yields spent before disarming the pair.
+constexpr std::uint64_t kBackpressureLimit = 1 << 15;
+constexpr std::uint32_t kBackpressureSpins = 64;
+// Idle parking bound on the mailbox condvar (see pe_loop).
+constexpr std::uint32_t kIdleWaitUs = 100;
 
 // Mutation gate shared between external mutators and the quiescing
 // restructurer. Static keeps the header light; engines are few.
@@ -23,11 +31,17 @@ std::shared_mutex& mutation_gate() {
 
 ThreadEngine::ThreadEngine(Graph& g, NetOptions net)
     : g_(g),
+      marker_(std::make_unique<Marker>(g, *this)),
       net_(net),
       locks_(4096),
       reg_(g.num_pes()),
-      t0_(std::chrono::steady_clock::now()) {
-  marker_ = std::make_unique<Marker>(g_, *this);
+      t0_(std::chrono::steady_clock::now()),
+      plane_(g.num_pes(), net.faults, net.reliable,
+             [this](PeId, PeId dst, FaultPlane::Bytes msg) {
+               mail_[dst]->deliver(std::move(msg));
+             },
+             reg_),
+      audit_(g, *marker_) {
   mutator_ = std::make_unique<Mutator>(g_, *marker_);
   controller_ =
       std::make_unique<Controller>(g_, *marker_, *this, VertexId::invalid());
@@ -46,67 +60,9 @@ ThreadEngine::ThreadEngine(Graph& g, NetOptions net)
   summary_.reserve(g_.num_pes() * 2u);
   for (std::size_t i = 0; i < g_.num_pes() * 2u; ++i)
     summary_.push_back(std::make_unique<BoundaryShard>());
-  // One set of batching knobs end to end: the channel coalesces with the
-  // same size/age caps as the fast path.
-  net_.reliable.batch_bytes = net_.batch_bytes;
-  net_.reliable.batch_flush_us = net_.batch_flush_us;
-  if (net_.enabled()) {
-    fault_ = std::make_unique<FaultPlane>(
-        g_.num_pes(), net_.faults,
-        [this](PeId, PeId dst, FaultPlane::Bytes msg) {
-          mail_[dst]->deliver(std::move(msg));
-        });
-    fault_->set_inject_hook(
-        [this](FaultKind k, PeId src, PeId, std::size_t bytes) {
-          static constexpr obs::Counter kFaultCounter[kNumFaultKinds] = {
-              obs::Counter::kMsgDroppedInjected,
-              obs::Counter::kMsgDupInjected,
-              obs::Counter::kMsgReorderedInjected,
-              obs::Counter::kMsgTruncatedInjected,
-          };
-          reg_.add(src, kFaultCounter[static_cast<std::size_t>(k)]);
-          DGR_TRACE_EVENT(trace_.get(), obs::EventType::kFaultInjected,
-                          Plane::kR, static_cast<std::uint16_t>(src), 0,
-                          static_cast<std::uint64_t>(k), bytes);
-        });
-    chan_ = std::make_unique<ChannelManager>(
-        g_.num_pes(), net_.reliable,
-        [this](PeId src, PeId dst, ChannelManager::Bytes frame) {
-          fault_->send(src, dst, std::move(frame));
-        });
-    ChannelManager::Hooks hooks;
-    hooks.on_retransmit = [this](PeId src, PeId, std::uint64_t seq,
-                                 std::uint32_t attempt) {
-      reg_.add(src, obs::Counter::kMsgRetransmit);
-      DGR_TRACE_EVENT(trace_.get(), obs::EventType::kMsgRetransmit, Plane::kR,
-                      static_cast<std::uint16_t>(src), 0, seq, attempt);
-    };
-    hooks.on_dup_suppressed = [this](PeId dst, PeId, std::uint64_t seq) {
-      reg_.add(dst, obs::Counter::kMsgDupSuppressed);
-      DGR_TRACE_EVENT(trace_.get(), obs::EventType::kMsgDupSuppressed,
-                      Plane::kR, static_cast<std::uint16_t>(dst), 0, seq);
-    };
-    hooks.on_decode_error = [this](PeId pe) {
-      reg_.add(pe, obs::Counter::kMsgDecodeError);
-    };
-    hooks.on_rtt = [this](PeId src, double rtt_us) {
-      reg_.observe(src, obs::Hist::kChannelRtt, rtt_us);
-    };
-    hooks.on_batch_flush = [this](PeId src, PeId, std::size_t payloads,
-                                  std::size_t frame_bytes) {
-      reg_.add(src, obs::Counter::kBatchFlush);
-      reg_.add(src, obs::Counter::kMsgBatched, payloads);
-      if (net_.batch_bytes > 0)
-        reg_.observe(src, obs::Hist::kBatchFillPct,
-                     100.0 * static_cast<double>(frame_bytes) /
-                         static_cast<double>(net_.batch_bytes));
-      DGR_TRACE_EVENT(trace_.get(), obs::EventType::kBatchFlush, Plane::kR,
-                      static_cast<std::uint16_t>(src), 0,
-                      static_cast<std::uint64_t>(payloads),
-                      static_cast<std::uint64_t>(frame_bytes));
-    };
-    chan_->set_hooks(std::move(hooks));
-  }
+  audit_.set_violation_hook([this] {
+    warn(obs::HealthKind::kAuditViolation, 0, audit_.stats().audits);
+  });
 }
 
 ThreadEngine::~ThreadEngine() { stop(); }
@@ -166,26 +122,26 @@ void ThreadEngine::spawn(Task t) {
   reg_.add(src, obs::Counter::kBytesSent, bytes.size());
   if (src != dst) maybe_backpressure(src, dst);
   outstanding_.fetch_add(1, std::memory_order_acq_rel);
-  if (chan_) {
-    chan_->send(src, dst, std::move(bytes), now_us());
+  if (ChannelManager* chan = plane_.channel()) {
+    chan->send(src, dst, std::move(bytes), now_us());
     return;
   }
   // Fast path. Cross-PE spawns from a PE thread stage into the per-pair
   // batch; everything else (local spawns, external threads) delivers
   // directly — staging rows are single-writer by construction.
-  if (net_.batch_bytes > 0 && tl_pe >= 0 && dst != static_cast<PeId>(tl_pe)) {
+  if (net_.reliable.batch_bytes > 0 && tl_pe >= 0 &&
+      dst != static_cast<PeId>(tl_pe)) {
     OutBatch& b = out_[src][dst];
-    if (b.msgs.empty()) b.deadline_us = now_us() + net_.batch_flush_us;
+    if (b.msgs.empty()) b.deadline_us = now_us() + net_.reliable.batch_flush_us;
     b.bytes += bytes.size();
     b.msgs.push_back(std::move(bytes));
-    if (b.bytes >= net_.batch_bytes) flush_pair_fast(src, dst);
+    if (b.bytes >= net_.reliable.batch_bytes) flush_pair_fast(src, dst);
     return;
   }
   mail_[dst]->deliver(std::move(bytes));
 }
 
 void ThreadEngine::maybe_backpressure(PeId src, PeId dst) {
-  if (net_.backpressure_limit == 0) return;
   const std::uint64_t backlog = mail_[dst]->pending();
   std::uint8_t& armed = bp_armed_[src][dst];
   if (!armed) {
@@ -194,10 +150,10 @@ void ThreadEngine::maybe_backpressure(PeId src, PeId dst) {
     // Yielding per message while the backlog sits above the limit is the
     // 2-PE cliff: a steady-state mark exchange holds both mailboxes near
     // their high-water, so every spawn paid the full spin budget.
-    if (backlog < net_.backpressure_limit / 2) armed = 1;
+    if (backlog < kBackpressureLimit / 2) armed = 1;
     return;
   }
-  if (backlog <= net_.backpressure_limit) return;
+  if (backlog <= kBackpressureLimit) return;
   reg_.add(src, obs::Counter::kBackpressureStall);
   DGR_TRACE_EVENT(trace_.get(), obs::EventType::kBackpressureStall, Plane::kR,
                   static_cast<std::uint16_t>(src), 0,
@@ -206,9 +162,9 @@ void ThreadEngine::maybe_backpressure(PeId src, PeId dst) {
   // (globally shared hash stripes) that the congested receiver needs, so
   // waiting indefinitely could deadlock. Yield a few times; if the peer is
   // still congested, disarm and let the episode run its course.
-  for (std::uint32_t i = 0; i < net_.backpressure_spins; ++i) {
+  for (std::uint32_t i = 0; i < kBackpressureSpins; ++i) {
     std::this_thread::yield();
-    if (mail_[dst]->pending() <= net_.backpressure_limit) return;
+    if (mail_[dst]->pending() <= kBackpressureLimit) return;
   }
   armed = 0;
 }
@@ -264,17 +220,8 @@ void ThreadEngine::count_edge_cut() {
 void ThreadEngine::flush_pair_fast(PeId src, PeId dst) {
   OutBatch& b = out_[src][dst];
   if (b.msgs.empty()) return;
-  const std::size_t count = b.msgs.size();
-  const std::size_t bytes = b.bytes;
-  reg_.add(src, obs::Counter::kBatchFlush);
-  reg_.add(src, obs::Counter::kMsgBatched, count);
-  reg_.observe(src, obs::Hist::kBatchFillPct,
-               100.0 * static_cast<double>(bytes) /
-                   static_cast<double>(net_.batch_bytes));
-  DGR_TRACE_EVENT(trace_.get(), obs::EventType::kBatchFlush, Plane::kR,
-                  static_cast<std::uint16_t>(src), 0,
-                  static_cast<std::uint64_t>(count),
-                  static_cast<std::uint64_t>(bytes));
+  note_batch_flush(reg_, trace_.get(), src, b.msgs.size(), b.bytes,
+                   net_.reliable.batch_bytes);
   mail_[dst]->deliver_batch(std::move(b.msgs));
   b.msgs.clear();
   b.bytes = 0;
@@ -282,14 +229,15 @@ void ThreadEngine::flush_pair_fast(PeId src, PeId dst) {
 }
 
 void ThreadEngine::flush_outgoing(PeId pe, bool force) {
-  if (net_.batch_bytes == 0 || chan_) return;  // nothing ever staged
+  // Nothing is ever staged without batching or on the channel path.
+  if (net_.reliable.batch_bytes == 0 || plane_.channel()) return;
   std::uint64_t now = 0;
   bool now_set = false;
   for (PeId dst = 0; dst < g_.num_pes(); ++dst) {
     OutBatch& b = out_[pe][dst];
     if (b.msgs.empty()) continue;
     if (!force) {
-      if (b.bytes < net_.batch_bytes) {
+      if (b.bytes < net_.reliable.batch_bytes) {
         if (!now_set) {
           now = now_us();
           now_set = true;
@@ -311,7 +259,7 @@ void ThreadEngine::pe_loop(PeId pe) {
   tl_pe = static_cast<int>(pe);
   std::uint64_t frames = 0;  // for periodic timer service while busy
   std::vector<Mailbox::Bytes> buf;  // reused drain buffer
-  const std::size_t drain_max = net_.drain_max ? net_.drain_max : 1;
+  ChannelManager* const chan = plane_.channel();
   while (running_.load(std::memory_order_relaxed)) {
     if (pause_.load(std::memory_order_acquire)) {
       // Staged marks must reach their mailboxes before this PE parks: a
@@ -331,19 +279,19 @@ void ThreadEngine::pe_loop(PeId pe) {
       restructure_claim_.clear(std::memory_order_release);
       continue;
     }
-    // Batch drain: take up to drain_max messages under one mailbox lock and
+    // Batch drain: take up to kDrainMax messages under one mailbox lock and
     // execute the burst without further queue traffic (the bounded budget
     // keeps pause/restructure latency and flush staleness in check).
     buf.clear();
-    std::size_t n = mail_[pe]->drain(drain_max, buf);
+    std::size_t n = mail_[pe]->drain(kDrainMax, buf);
     if (n == 0) {
       // Idle: staged batches flush now (latency floor for stragglers), and
       // idle is when retransmit timers matter — a dropped frame leaves the
       // mailbox empty until this PE re-sends it.
       flush_outgoing(pe, /*force=*/true);
-      if (chan_) {
-        chan_->flush(pe, now_us());
-        chan_->service(pe, now_us());
+      if (chan) {
+        chan->flush(pe, now_us());
+        chan->service(pe, now_us());
       }
       // Balance the survivors: an idle PE takes half of the deepest peer
       // backlog instead of parking — on a congested pair this turns the
@@ -354,10 +302,7 @@ void ThreadEngine::pe_loop(PeId pe) {
       // yield-spinning. A polling idler on a shared core competes with the
       // busy PEs for the timeslice that would drain the very backlog it is
       // polling for.
-      if (net_.idle_wait_us > 0)
-        n = mail_[pe]->drain_wait(drain_max, buf, net_.idle_wait_us);
-      else
-        std::this_thread::yield();
+      n = mail_[pe]->drain_wait(kDrainMax, buf, kIdleWaitUs);
       if (n == 0) continue;
     }
     // Sampled mailbox backlog at service time, once per drained burst (the
@@ -365,33 +310,12 @@ void ThreadEngine::pe_loop(PeId pe) {
     if ((reg_.get(pe, obs::Counter::kMarkTasks) & 15) == 0)
       reg_.observe(pe, obs::Hist::kMarkQueueDepth,
                    static_cast<double>(mail_[pe]->pending() + n));
-    if (chan_) {
-      for (const auto& msg : buf) {
-        // Raw frame → channel → zero or more exactly-once in-order payloads.
-        for (auto& payload : chan_->on_frame(pe, msg, now_us())) {
-          const std::optional<Task> t = try_decode_task(payload);
-          if (!t) {
-            // Unreachable unless a checksum collision slips corruption past
-            // the frame layer; counted, and the spawn is retired so
-            // wait_quiescent cannot hang on it.
-            reg_.add(pe, obs::Counter::kMsgDecodeError);
-            outstanding_.fetch_sub(1, std::memory_order_acq_rel);
-            continue;
-          }
-          execute(pe, *t);
-          outstanding_.fetch_sub(1, std::memory_order_acq_rel);
-        }
-        if ((++frames & 63) == 0) chan_->service(pe, now_us());
-      }
-    } else {
-      for (const auto& msg : buf) {
-        const Task t = decode_task(msg);
-        execute(pe, t);
-        outstanding_.fetch_sub(1, std::memory_order_acq_rel);
-      }
+    for (const auto& msg : buf) {
+      receive(pe, pe, msg);
+      if (chan && (++frames & 63) == 0) chan->service(pe, now_us());
     }
     // Between bursts: push out size/age-ripe batches staged by the executes
-    // above (worst-case staleness is one drain_max burst + batch_flush_us).
+    // above (worst-case staleness is one kDrainMax burst + batch_flush_us).
     flush_outgoing(pe, /*force=*/false);
   }
   tl_pe = -1;
@@ -410,8 +334,7 @@ bool ThreadEngine::try_steal(PeId pe, std::vector<Mailbox::Bytes>& buf) {
   }
   if (deepest < net_.steal_min) return false;
   buf.clear();
-  const std::size_t want =
-      std::min<std::size_t>(deepest / 2, net_.drain_max ? net_.drain_max : 1);
+  const std::size_t want = std::min<std::size_t>(deepest / 2, kDrainMax);
   const std::size_t n =
       mail_[victim]->drain(std::max<std::size_t>(want, 1), buf);
   if (n == 0) return false;
@@ -420,32 +343,23 @@ bool ThreadEngine::try_steal(PeId pe, std::vector<Mailbox::Bytes>& buf) {
   // Execute the stolen batch here. Location transparency makes this safe:
   // vertex locks are global stripes, the marker touches only t.d under its
   // lock, counters are charged to the executing PE, and the channel/fault
-  // planes serialize internally — a stolen frame still runs through
-  // on_frame(victim, ...) so the (src → victim) receiver state stays
+  // planes serialize internally — a stolen frame still runs through the
+  // channel as victim's, so the (src → victim) receiver state stays
   // exactly-once regardless of which thread processes it.
-  if (chan_) {
-    for (const auto& msg : buf) {
-      for (auto& payload : chan_->on_frame(victim, msg, now_us())) {
-        const std::optional<Task> t = try_decode_task(payload);
-        if (!t) {
-          reg_.add(pe, obs::Counter::kMsgDecodeError);
-          outstanding_.fetch_sub(1, std::memory_order_acq_rel);
-          continue;
-        }
-        execute(pe, *t);
-        outstanding_.fetch_sub(1, std::memory_order_acq_rel);
-      }
-    }
-  } else {
-    for (const auto& msg : buf) {
-      execute(pe, decode_task(msg));
-      outstanding_.fetch_sub(1, std::memory_order_acq_rel);
-    }
-  }
+  for (const auto& msg : buf) receive(pe, victim, msg);
   // Children spawned by the stolen tasks staged into this thief's rows;
   // push the ripe ones out before the next poll.
   flush_outgoing(pe, /*force=*/false);
   return true;
+}
+
+void ThreadEngine::receive(PeId pe, PeId owner,
+                           std::span<const std::uint8_t> msg) {
+  const std::size_t n = plane_.receive(
+      pe, owner, msg, [this] { return now_us(); },
+      [this, pe](const Task& t) { execute(pe, t); });
+  // Undecodable payloads are retired too, so wait_quiescent cannot hang.
+  outstanding_.fetch_sub(n, std::memory_order_acq_rel);
 }
 
 void ThreadEngine::execute(PeId pe, const Task& t) {
@@ -498,7 +412,7 @@ void ThreadEngine::quiesce_begin() {
   // Safe point: every PE is parked, both planes have terminated with their
   // marks still unconsumed, no marking task is in flight — the one globally
   // consistent state the concurrent engine reaches. Audit here.
-  maybe_audit();
+  audit_.at_safe_point(controller_->cycles_completed() + 1);
 }
 
 void ThreadEngine::quiesce_end() {
@@ -534,11 +448,6 @@ TaskRestructure ThreadEngine::restructure_tasks(
   return r;
 }
 
-void ThreadEngine::enable_audit(AuditOptions opt) {
-  audit_opt_ = opt;
-  audit_enabled_ = opt.period > 0;
-}
-
 void ThreadEngine::enable_watchdog(WatchdogOptions opt) {
   wd_opt_ = opt;
   wd_enabled_.store(true, std::memory_order_release);
@@ -558,64 +467,6 @@ void ThreadEngine::warn(obs::HealthKind kind, std::uint16_t pe,
   DGR_TRACE_EVENT(trace_.get(), obs::EventType::kHealthWarning, Plane::kR, pe,
                   controller_->cycles_completed() + 1,
                   static_cast<std::uint64_t>(kind), detail);
-}
-
-void ThreadEngine::maybe_audit() {
-  audit_swept_check_ = false;
-  if (!audit_enabled_) return;
-  const std::uint64_t cyc = controller_->cycles_completed() + 1;
-  if (cyc % audit_opt_.period != 0) return;
-  ++audit_stats_.audits;
-  std::uint64_t violations = 0;
-  auto fail = [&](const std::string& what) {
-    ++violations;
-    ++audit_stats_.violations;
-    audit_stats_.last_what = what;
-    DGR_ERROR("audit violation (cycle %llu): %s", (unsigned long long)cyc,
-              what.c_str());
-    warn(obs::HealthKind::kAuditViolation, 0, audit_stats_.audits);
-  };
-  if (audit_opt_.check_invariants) {
-    // Both planes have terminated (done) with marks intact; the pending task
-    // multiset is empty — the wave's termination detection guarantees every
-    // spawned marking task has executed.
-    for (const Plane plane : {Plane::kR, Plane::kT}) {
-      if (!marker_->active(plane) || !marker_->done(plane)) continue;
-      if (marker_->cycle_tainted(plane)) continue;
-      const InvariantReport rep =
-          check_marking_invariants(g_, *marker_, plane, {});
-      if (!rep.ok) fail(rep.what);
-    }
-  }
-  std::uint64_t gar = 0;
-  if (audit_opt_.check_accounting) {
-    const AccountingReport acc = check_heap_accounting(g_, *marker_);
-    if (!acc.ok) {
-      fail(acc.what);
-    } else if (marker_->active(Plane::kR) && marker_->done(Plane::kR)) {
-      // GAR' is frozen until the sweep (the mutation gate is held): the
-      // restructure about to run must free exactly this many vertices.
-      audit_expected_gar_ = acc.gar;
-      audit_swept_check_ = true;
-    }
-    gar = acc.gar;
-  }
-  DGR_TRACE_EVENT(trace_.get(), obs::EventType::kAudit, Plane::kR, 0, cyc,
-                  violations, gar);
-}
-
-void ThreadEngine::on_cycle_complete(const CycleResult& res) {
-  if (!audit_swept_check_) return;
-  audit_swept_check_ = false;
-  if (res.swept != audit_expected_gar_) {
-    ++audit_stats_.violations;
-    audit_stats_.last_what =
-        "Property 1 violated: swept " + std::to_string(res.swept) +
-        " != GAR' " + std::to_string(audit_expected_gar_);
-    DGR_ERROR("audit violation (cycle %llu): %s",
-              (unsigned long long)res.cycle, audit_stats_.last_what.c_str());
-    warn(obs::HealthKind::kAuditViolation, 0, audit_stats_.audits);
-  }
 }
 
 void ThreadEngine::watchdog_loop() {
@@ -692,6 +543,8 @@ obs::TraceBuffer* ThreadEngine::enable_trace(std::size_t capacity) {
     marker_->set_trace(trace_.get());
     mutator_->set_trace(trace_.get());
     controller_->set_trace(trace_.get());
+    plane_.set_trace(trace_.get());
+    audit_.set_trace(trace_.get());
   }
   return trace_.get();
 #else
@@ -702,20 +555,6 @@ obs::TraceBuffer* ThreadEngine::enable_trace(std::size_t capacity) {
 
 ThreadEngineStats ThreadEngine::stats() const {
   ThreadEngineStats s;
-  s.tasks_executed = reg_.total(obs::Counter::kMarkTasks) +
-                     reg_.total(obs::Counter::kReturnTasks) +
-                     reg_.total(obs::Counter::kReductionTasks);
-  s.remote_messages = reg_.total(obs::Counter::kRemoteMessages);
-  s.local_messages = reg_.total(obs::Counter::kLocalMessages);
-  s.bytes_sent = reg_.total(obs::Counter::kBytesSent);
-  s.msg_batched = reg_.total(obs::Counter::kMsgBatched);
-  s.batch_flushes = reg_.total(obs::Counter::kBatchFlush);
-  s.backpressure_stalls = reg_.total(obs::Counter::kBackpressureStall);
-  s.boundary_dedup = reg_.total(obs::Counter::kBoundaryDedup);
-  s.steal_batches = reg_.total(obs::Counter::kStealBatches);
-  s.steal_tasks = reg_.total(obs::Counter::kStealTasks);
-  s.edge_cut = reg_.total(obs::Counter::kEdgeCut);
-  s.edges_total = reg_.total(obs::Counter::kEdgesTotal);
   for (const auto& m : mail_)
     s.mailbox_high_water = std::max(s.mailbox_high_water, m->high_water());
   return s;

@@ -30,11 +30,11 @@
 #include "core/controller.h"
 #include "core/cooperation.h"
 #include "core/marker.h"
-#include "net/fault_plane.h"
 #include "net/mailbox.h"
-#include "net/reliable_channel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "runtime/audit.h"
+#include "runtime/message_plane.h"
 #include "runtime/pool.h"
 
 namespace dgr {
@@ -43,40 +43,24 @@ namespace dgr {
 class VertexLocks;
 
 // Message-plane configuration. Cross-PE messages land in per-PE mailboxes.
-// With a nonzero fault schedule (or force_reliable), every marking message
-// crosses a FaultPlane wrapped in a ChannelManager: the engine sees
-// exactly-once in-order delivery while the wire drops, duplicates, reorders
-// and truncates under it. With the default (no faults), messages go straight
-// to the destination mailbox.
+// With a nonzero fault schedule every marking message crosses the shared
+// MessagePlane stack (runtime/message_plane.h): the engine sees exactly-once
+// in-order delivery while the wire drops, duplicates, reorders and truncates
+// under it. With no faults, messages go straight to the destination mailbox.
 //
 // Batching: cross-PE spawns coalesce per directed PE pair — on the fast path
 // into per-pair staging rows flushed to the destination mailbox as one
-// deliver_batch, on the channel path into multi-payload frames (the same
-// knobs are forwarded to ReliableOptions). A batch flushes when it reaches
-// batch_bytes, ages past batch_flush_us, or its owning PE goes idle or
-// parks; receivers drain up to drain_max messages per loop pass under a
-// single mailbox lock. batch_bytes == 0 (the --no-batch leg) delivers each
-// fast-path message on its own and puts each channel payload in its own
-// frame; the channel's acks stay deferred or piggybacked either way.
+// deliver_batch, on the channel path into multi-payload frames. Both read
+// the same two knobs, reliable.batch_bytes and reliable.batch_flush_us. A
+// batch flushes when it reaches batch_bytes, ages past batch_flush_us, or
+// its owning PE goes idle or parks; receivers drain up to kDrainMax messages
+// per loop pass under a single mailbox lock. batch_bytes == 0 (the
+// --no-batch leg) delivers each fast-path message on its own and puts each
+// channel payload in its own frame; the channel's acks stay deferred or
+// piggybacked either way.
 struct NetOptions {
   FaultPlaneOptions faults;
   ReliableOptions reliable;
-  bool force_reliable = false;  // channel layer even with a zero schedule
-  std::uint32_t batch_bytes = 4096;    // size cap per staged pair (0 = none)
-  std::uint32_t batch_flush_us = 100;  // age cap on a staged batch
-  std::uint32_t drain_max = 64;        // receiver: messages per drain pass
-  // Soft backpressure, edge-triggered per directed PE pair: the first spawn
-  // that finds the destination backlog over the limit yields up to
-  // backpressure_spins times (counted as backpressure_stall) and, if the
-  // peer is still congested, disarms the pair — subsequent spawns proceed
-  // at full speed until the backlog falls below half the limit, which
-  // re-arms it. One stall episode per congestion event, not one per
-  // message: a per-message yield loop is exactly the ping-pong stall that
-  // produced the 2-PE cliff (see docs/PERF.md). Never blocking is
-  // load-bearing: the spawner may hold vertex-stripe locks (globally shared
-  // hash stripes) that the congested receiver needs to make progress.
-  std::uint64_t backpressure_limit = 1 << 15;  // 0 disables the check
-  std::uint32_t backpressure_spins = 64;
   // Boundary summaries: per-(destination PE, plane) tables recording the
   // strongest mark priority already forwarded per remote vertex this epoch;
   // duplicate remote child marks are suppressed at the sender (counted as
@@ -84,57 +68,18 @@ struct NetOptions {
   // wave and priority level instead of once per cross-partition edge.
   bool boundary_summary = true;
   // Work stealing: a PE whose mailbox is empty drains up to half (capped at
-  // drain_max) of the deepest peer backlog and executes the batch itself
+  // kDrainMax) of the deepest peer backlog and executes the batch itself
   // instead of parking. Sound because task execution is location-
   // transparent here: vertex locks are global stripes, counters are per-
   // executing-PE, and the channel/fault planes take their own locks.
   bool steal = true;
   std::uint64_t steal_min = 16;  // don't steal below this victim backlog
-  // Idle parking: a PE with an empty mailbox and nothing stealable blocks
-  // on its mailbox condvar for at most this long (0 = yield-spin instead).
-  // Bounded so pause requests, steal opportunities and retransmit timers
-  // are still polled; parking matters most on hosts with fewer cores than
-  // PEs, where a yield-spinning idler competes with the busy PEs for the
-  // timeslice that would produce its next message.
-  std::uint32_t idle_wait_us = 100;
-  bool enabled() const { return faults.spec.any() || force_reliable; }
 };
 
-// Aggregate counter view over the per-PE obs::MetricsRegistry (see
-// metrics_registry() for the per-PE breakdowns and histograms).
+// The one engine figure the metrics registry does not hold; every counter
+// lives in metrics_registry().
 struct ThreadEngineStats {
-  std::uint64_t tasks_executed = 0;
-  std::uint64_t remote_messages = 0;
-  std::uint64_t local_messages = 0;
-  std::uint64_t bytes_sent = 0;
   std::uint64_t mailbox_high_water = 0;  // deepest mailbox backlog seen
-  std::uint64_t msg_batched = 0;         // messages sent inside a batch
-  std::uint64_t batch_flushes = 0;       // batches flushed
-  std::uint64_t backpressure_stalls = 0; // spawns that hit the soft limit
-  std::uint64_t boundary_dedup = 0;      // remote marks suppressed at source
-  std::uint64_t steal_batches = 0;       // idle-PE steal passes that took work
-  std::uint64_t steal_tasks = 0;         // tasks executed by a non-owner PE
-  std::uint64_t edge_cut = 0;            // cross-PE arg edges at start()
-  std::uint64_t edges_total = 0;         // all arg edges at start()
-};
-
-// Safe-point auditing (§5.4.1 invariants + Property 1 accounting on the live
-// concurrent graph). The audit runs inside the restructuring quiesce window
-// every `period` cycles: all PE threads are parked, both planes have
-// terminated but their marks are not yet consumed, and no marking task is in
-// flight — the one globally consistent state the threaded engine ever
-// reaches. Violations are counted, logged, and emitted as health_warning
-// trace events; they never abort (CI decides via dgr_run --health-fatal).
-struct AuditOptions {
-  std::uint32_t period = 1;      // audit every Nth cycle (0 disables)
-  bool check_invariants = true;  // marking invariants 1-3 on terminated planes
-  bool check_accounting = true;  // Property 1: GAR = V − R − F, R ∩ F = ∅
-};
-
-struct AuditStats {
-  std::uint64_t audits = 0;      // safe-point audits executed
-  std::uint64_t violations = 0;  // failed checks (invariant or accounting)
-  std::string last_what;         // human-readable description of the latest
 };
 
 // Online health monitoring: a watchdog thread samples the metrics registry,
@@ -204,11 +149,15 @@ class ThreadEngine final : public TaskSink, public EngineHooks {
       const std::function<std::uint8_t(const Task&)>& prio) override;
   void quiesce_begin() override;
   void quiesce_end() override;
-  void on_cycle_complete(const CycleResult& res) override;
+  void on_cycle_complete(const CycleResult& res) override {
+    audit_.on_cycle_complete(res);
+  }
 
-  // Enable safe-point auditing (see AuditOptions). Call before start().
-  void enable_audit(AuditOptions opt = {});
-  const AuditStats& audit_stats() const { return audit_stats_; }
+  // Enable safe-point auditing (runtime/audit.h) inside every period-th
+  // restructuring quiesce window; a violation also raises a kAuditViolation
+  // health warning. Call before start().
+  void enable_audit(AuditOptions opt = {}) { audit_.enable(opt); }
+  const AuditStats& audit_stats() const { return audit_.stats(); }
 
   // Arm the stall watchdog (see WatchdogOptions). Call before start(); the
   // monitor thread lives from start() to stop().
@@ -225,9 +174,9 @@ class ThreadEngine final : public TaskSink, public EngineHooks {
                   const std::function<void()>& fn);
 
   ThreadEngineStats stats() const;
-  // Null unless NetOptions::enabled() at construction.
-  const FaultPlane* fault_plane() const { return fault_.get(); }
-  const ChannelManager* channels() const { return chan_.get(); }
+  // Null unless the fault schedule is nonzero.
+  const FaultPlane* fault_plane() const { return plane_.fault(); }
+  const ChannelManager* channels() const { return plane_.channel(); }
   // Per-PE counters and histograms.
   obs::MetricsRegistry& metrics_registry() { return reg_; }
   const obs::MetricsRegistry& metrics_registry() const { return reg_; }
@@ -243,14 +192,19 @@ class ThreadEngine final : public TaskSink, public EngineHooks {
 
   void pe_loop(PeId pe);
   void execute(PeId pe, const Task& t);
+  // Receive one mailbox message addressed to `owner` on PE thread `pe`,
+  // execute the tasks it carries and retire them from outstanding_.
+  void receive(PeId pe, PeId owner, std::span<const std::uint8_t> msg);
   // Fast-path batching: flush every staged pair whose sender is `pe`
   // (force) or only the size/age-ripe ones. PE-thread-local: row `pe` of
   // out_ is touched exclusively by its owning thread.
   void flush_outgoing(PeId pe, bool force);
   void flush_pair_fast(PeId src, PeId dst);
-  // Edge-triggered congestion episode handling (see NetOptions). Only PE
-  // thread `src` calls this for its own row, so the arming bytes need no
-  // synchronization.
+  // Soft backpressure, edge-triggered per directed PE pair: one bounded
+  // yield episode (counted as backpressure_stall) per congestion event, then
+  // the pair stays disarmed until the backlog halves (docs/PERF.md). Never
+  // blocks. Only PE thread `src` calls this for its own row, so the arming
+  // bytes need no synchronization.
   void maybe_backpressure(PeId src, PeId dst);
   // Idle-path mailbox stealing: drain up to half of the deepest peer
   // backlog into `buf` and execute it here. Returns true if work was taken.
@@ -267,8 +221,6 @@ class ThreadEngine final : public TaskSink, public EngineHooks {
   }
   void watchdog_loop();
   void warn(obs::HealthKind kind, std::uint16_t pe, std::uint64_t detail);
-  // Runs inside the quiesce window (all PEs parked, marks unconsumed).
-  void maybe_audit();
   std::uint32_t lock_index(VertexId v) const {
     return static_cast<std::uint32_t>(VertexIdHash{}(v) % locks_.size());
   }
@@ -305,12 +257,7 @@ class ThreadEngine final : public TaskSink, public EngineHooks {
     std::vector<std::uint8_t> prior;
   };
   std::vector<std::unique_ptr<BoundaryShard>> summary_;
-  // Active message plane (null on the fault-free fast path). Frames flow
-  // spawn → chan_ → fault_ → mail_; pe_loop feeds raw frames back through
-  // chan_->on_frame and executes the exactly-once payload stream.
   NetOptions net_;
-  std::unique_ptr<FaultPlane> fault_;
-  std::unique_ptr<ChannelManager> chan_;
   std::vector<std::unique_ptr<TaskPool>> pools_;  // inert reduction tasks
   std::vector<std::unique_ptr<std::mutex>> pool_mu_;
 
@@ -329,14 +276,13 @@ class ThreadEngine final : public TaskSink, public EngineHooks {
   obs::MetricsRegistry reg_;
   std::unique_ptr<obs::TraceBuffer> trace_;
   std::chrono::steady_clock::time_point t0_;
+  // Message plane (bare without faults). Frames flow spawn → channel →
+  // fault plane → mail_; receive() feeds them back through the channel.
+  MessagePlane plane_;
 
-  // ---- Safe-point audit (mutated only inside the quiesce window, by the
-  // single restructuring thread; read externally after stop()). ----
-  AuditOptions audit_opt_;
-  bool audit_enabled_ = false;
-  AuditStats audit_stats_;
-  bool audit_swept_check_ = false;  // cross-check swept vs GAR' this cycle
-  std::size_t audit_expected_gar_ = 0;
+  // Safe-point audit: runs only inside the quiesce window, on the single
+  // restructuring thread; read externally after stop().
+  Auditor audit_;
 
   // ---- Watchdog ----
   WatchdogOptions wd_opt_;

@@ -23,7 +23,8 @@ WorkerEngine::WorkerEngine(Socket sock, FrameCodec codec,
       g_(cfg.num_pes, 1),
       marker_(g_, *this),
       t0_(std::chrono::steady_clock::now()),
-      reg_(cfg.num_pes) {
+      reg_(cfg.num_pes),
+      plane_(make_message_plane()) {
   owned_.assign(cfg_.num_pes, 0);
   out_.resize(cfg_.num_pes);
   for (std::uint32_t pe = cfg_.pe_begin; pe < cfg_.pe_begin + cfg_.pe_count;
@@ -44,6 +45,7 @@ WorkerEngine::WorkerEngine(Socket sock, FrameCodec codec,
     trace_ = std::make_unique<obs::TraceBuffer>(cfg_.trace_capacity);
     trace_->set_clock([this] { return now_us(); });
     marker_.set_trace(trace_.get());
+    plane_.set_trace(trace_.get());
   }
 #endif
   // Termination detection runs here when this worker owns the collapsing
@@ -56,7 +58,6 @@ WorkerEngine::WorkerEngine(Socket sock, FrameCodec codec,
     f.payload = encode_plane_signal(p, marker_.epoch(p));
     send_frame(f);
   });
-  init_message_plane();
 }
 
 void WorkerEngine::rebuild_owned_list() {
@@ -65,73 +66,16 @@ void WorkerEngine::rebuild_owned_list() {
     if (owned_[pe]) owned_list_.push_back(pe);
 }
 
-void WorkerEngine::init_message_plane() {
-  fault_.reset();
-  chan_.reset();
-  if (cfg_.faults.any()) {
-    FaultPlaneOptions fopt;
-    fopt.seed = cfg_.fault_seed;
-    fopt.spec = cfg_.faults;
-    fault_ = std::make_unique<FaultPlane>(
-        cfg_.num_pes, fopt,
-        [this](PeId, PeId dst, FaultPlane::Bytes msg) { stage(dst, msg); });
-    fault_->set_inject_hook(
-        [this](FaultKind k, PeId src, PeId, std::size_t bytes) {
-          static constexpr obs::Counter kFaultCounter[kNumFaultKinds] = {
-              obs::Counter::kMsgDroppedInjected,
-              obs::Counter::kMsgDupInjected,
-              obs::Counter::kMsgReorderedInjected,
-              obs::Counter::kMsgTruncatedInjected,
-          };
-          reg_.add(src, kFaultCounter[static_cast<std::size_t>(k)]);
-          DGR_TRACE_EVENT(trace_.get(), obs::EventType::kFaultInjected,
-                          Plane::kR, static_cast<std::uint16_t>(src), 0,
-                          static_cast<std::uint64_t>(k), bytes);
-        });
-  }
-  if (cfg_.use_channel) {
-    chan_ = std::make_unique<ChannelManager>(
-        cfg_.num_pes, cfg_.reliable,
-        [this](PeId src, PeId dst, ChannelManager::Bytes frame) {
-          if (fault_) {
-            fault_->send(src, dst, std::move(frame));
-          } else {
-            stage(dst, frame);
-          }
-        });
-    ChannelManager::Hooks hooks;
-    hooks.on_retransmit = [this](PeId src, PeId, std::uint64_t seq,
-                                 std::uint32_t attempt) {
-      reg_.add(src, obs::Counter::kMsgRetransmit);
-      DGR_TRACE_EVENT(trace_.get(), obs::EventType::kMsgRetransmit, Plane::kR,
-                      static_cast<std::uint16_t>(src), 0, seq, attempt);
-    };
-    hooks.on_dup_suppressed = [this](PeId dst, PeId, std::uint64_t seq) {
-      reg_.add(dst, obs::Counter::kMsgDupSuppressed);
-      DGR_TRACE_EVENT(trace_.get(), obs::EventType::kMsgDupSuppressed,
-                      Plane::kR, static_cast<std::uint16_t>(dst), 0, seq);
-    };
-    hooks.on_decode_error = [this](PeId pe) {
-      reg_.add(pe, obs::Counter::kMsgDecodeError);
-    };
-    hooks.on_rtt = [this](PeId src, double rtt_us) {
-      reg_.observe(src, obs::Hist::kChannelRtt, rtt_us);
-    };
-    hooks.on_batch_flush = [this](PeId src, PeId, std::size_t payloads,
-                                  std::size_t frame_bytes) {
-      reg_.add(src, obs::Counter::kBatchFlush);
-      reg_.add(src, obs::Counter::kMsgBatched, payloads);
-      if (cfg_.reliable.batch_bytes > 0)
-        reg_.observe(src, obs::Hist::kBatchFillPct,
-                     100.0 * static_cast<double>(frame_bytes) /
-                         static_cast<double>(cfg_.reliable.batch_bytes));
-      DGR_TRACE_EVENT(trace_.get(), obs::EventType::kBatchFlush, Plane::kR,
-                      static_cast<std::uint16_t>(src), 0,
-                      static_cast<std::uint64_t>(payloads),
-                      static_cast<std::uint64_t>(frame_bytes));
-    };
-    chan_->set_hooks(std::move(hooks));
-  }
+MessagePlane WorkerEngine::make_message_plane() {
+  FaultPlaneOptions faults;
+  faults.seed = cfg_.fault_seed;
+  faults.spec = cfg_.faults;
+  MessagePlane plane(
+      cfg_.num_pes, faults, cfg_.reliable,
+      [this](PeId, PeId dst, FaultPlane::Bytes msg) { stage(dst, msg); },
+      reg_);
+  plane.set_trace(trace_.get());
+  return plane;
 }
 
 void WorkerEngine::send_frame(const NetFrame& f) {
@@ -177,10 +121,10 @@ void WorkerEngine::spawn(Task t) {
     return;
   }
   reg_.add(cur_pe_, obs::Counter::kRemoteMessages);
-  if (chan_) {
+  if (ChannelManager* chan = plane_.channel()) {
     std::vector<std::uint8_t> bytes = encode_task(t);
     reg_.add(cur_pe_, obs::Counter::kBytesSent, bytes.size());
-    chan_->send(cur_pe_, dst, std::move(bytes), now_us());
+    chan->send(cur_pe_, dst, std::move(bytes), now_us());
     return;
   }
   // Bare path: encode straight into the destination's batch.
@@ -211,11 +155,12 @@ void WorkerEngine::drain_local() {
 }
 
 void WorkerEngine::service_channel() {
-  if (!chan_) return;
+  ChannelManager* const chan = plane_.channel();
+  if (!chan) return;
   const std::uint64_t now = now_us();
   for (PeId pe : owned_list_) {
-    chan_->flush(pe, now);
-    chan_->service(pe, now);
+    chan->flush(pe, now);
+    chan->service(pe, now);
   }
   flush_batches();
 }
@@ -287,7 +232,7 @@ void WorkerEngine::send_mark_report(Plane plane, std::uint64_t epoch) {
   // telemetry before the wave's final report lets the cycle advance. The
   // report is the controller's signal that this worker's partition state is
   // final for the wave.
-  if (fault_) fault_->flush();
+  if (FaultPlane* fault = plane_.fault()) fault->flush();
   service_channel();
   drain_local();
   send_telemetry(plane, epoch);
@@ -325,23 +270,11 @@ bool WorkerEngine::handle_data(const NetFrame& f) {
     fatal_ = true;
     return false;
   }
-  // Each message runs exactly as a frame of its own would.
-  for (std::span<const std::uint8_t> m : in_msgs_) {
-    if (chan_) {
-      for (auto& payload : chan_->on_frame(f.dst, m, now_us())) {
-        const std::optional<Task> t = try_decode_task(payload);
-        if (t) exec_local(*t);
-      }
-      continue;
-    }
-    const std::optional<Task> t = try_decode_task(m);
-    if (!t) {
-      DGR_ERROR("worker %u: malformed task in data batch", index_);
-      fatal_ = true;
-      return false;
-    }
-    exec_local(*t);
-  }
+  // Each message runs exactly as a frame of its own would; an undecodable
+  // task is counted (kMsgDecodeError) and skipped.
+  for (std::span<const std::uint8_t> m : in_msgs_)
+    plane_.receive(f.dst, f.dst, m, [this] { return now_us(); },
+                   [this](const Task& t) { exec_local(t); });
   return true;
 }
 
@@ -398,7 +331,7 @@ bool WorkerEngine::dispatch(NetFrame& f) {
       marker_.abort(Plane::kR);
       marker_.abort(Plane::kT);
       q_.clear();
-      init_message_plane();
+      plane_ = make_message_plane();
       return true;
     }
     case FrameType::kPlaneBegin: {

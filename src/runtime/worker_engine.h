@@ -36,13 +36,12 @@
 
 #include "core/marker.h"
 #include "core/task.h"
-#include "net/fault_plane.h"
 #include "net/frame.h"
 #include "net/proto.h"
-#include "net/reliable_channel.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "runtime/message_plane.h"
 #include "util/stats.h"
 
 namespace dgr {
@@ -84,11 +83,11 @@ class WorkerEngine final : public TaskSink {
   void flush_batch(PeId dst);
   void flush_batches();
   void service_channel();
-  // (Re)create the fault plane + reliable channel. Called from the ctor and
-  // again at every kEpochFence: a membership fence voids all in-flight
-  // worker↔worker traffic, and every survivor resets its sequence spaces in
-  // the same fence, so fresh channels stay consistent cluster-wide.
-  void init_message_plane();
+  // A fresh worker↔worker message plane. Built in the ctor and again at
+  // every kEpochFence: a membership fence voids all in-flight worker↔worker
+  // traffic, and every survivor resets its sequence spaces in the same
+  // fence, so fresh channels stay consistent cluster-wide.
+  MessagePlane make_message_plane();
   void rebuild_owned_list();
   void send_handoff_ack(std::uint64_t seq, bool ok);
   void send_mark_report(Plane plane, std::uint64_t epoch);
@@ -108,10 +107,6 @@ class WorkerEngine final : public TaskSink {
   WorkerConfig cfg_;
   Graph g_;
   Marker marker_;
-  // Worker-side message plane for worker↔worker marks (sender-side state for
-  // pairs whose src this worker owns, receiver-side for its dst PEs).
-  std::unique_ptr<FaultPlane> fault_;
-  std::unique_ptr<ChannelManager> chan_;
   std::deque<Task> q_;       // locally-owned tasks awaiting execution
   // Staged outgoing kData frames, one per destination PE (empty = none).
   std::vector<std::vector<std::uint8_t>> out_;
@@ -149,6 +144,9 @@ class WorkerEngine final : public TaskSink {
   // Worker-side trace ring (populated only in DGR_TRACE builds when the
   // controller asked for it; the unique_ptr itself is trace-off safe).
   std::unique_ptr<obs::TraceBuffer> trace_;
+  // Worker-side message plane for worker↔worker marks (sender-side state for
+  // pairs whose src this worker owns, receiver-side for its dst PEs).
+  MessagePlane plane_;
 };
 
 // Parse `--connect ADDR --index N`, register with the controller and run a

@@ -89,15 +89,9 @@ TEST(MetricsRegistry, ThreadEngineCountersMatchMarker) {
             eng.controller().last().stats_r.marks);
   EXPECT_EQ(reg.total(obs::Counter::kReturnTasks),
             eng.controller().last().stats_r.returns);
-  // The aggregate facade is a view over the same registry.
-  const ThreadEngineStats s = eng.stats();
-  EXPECT_EQ(s.tasks_executed, reg.total(obs::Counter::kMarkTasks) +
-                                  reg.total(obs::Counter::kReturnTasks) +
-                                  reg.total(obs::Counter::kReductionTasks));
-  EXPECT_EQ(s.remote_messages, reg.total(obs::Counter::kRemoteMessages));
-  EXPECT_GT(s.remote_messages, 0u);
-  EXPECT_GT(s.bytes_sent, 0u);
-  EXPECT_GT(s.mailbox_high_water, 0u);
+  EXPECT_GT(reg.total(obs::Counter::kRemoteMessages), 0u);
+  EXPECT_GT(reg.total(obs::Counter::kBytesSent), 0u);
+  EXPECT_GT(eng.stats().mailbox_high_water, 0u);
 }
 
 TEST(MetricsRegistry, SimEngineChargesExecutingPe) {
@@ -110,14 +104,14 @@ TEST(MetricsRegistry, SimEngineChargesExecutingPe) {
   eng.set_root(b.root);
   eng.controller().start_cycle(CycleOptions{false});
   eng.run_until_cycle_done();
-  const SimMetrics m = eng.metrics();
-  EXPECT_EQ(m.mark_tasks, eng.metrics_registry().total(obs::Counter::kMarkTasks));
-  EXPECT_EQ(m.mark_tasks, eng.controller().last().stats_r.marks);
+  const std::uint64_t marks =
+      eng.metrics_registry().total(obs::Counter::kMarkTasks);
+  EXPECT_EQ(marks, eng.controller().last().stats_r.marks);
   // Per-PE attribution sums to the total.
   std::uint64_t sum = 0;
   for (std::uint32_t pe = 0; pe < 2; ++pe)
     sum += eng.metrics_registry().get(pe, obs::Counter::kMarkTasks);
-  EXPECT_EQ(sum, m.mark_tasks);
+  EXPECT_EQ(sum, marks);
 }
 
 #if DGR_TRACE_ENABLED

@@ -130,6 +130,7 @@ class ProcRig {
 
 TEST(ProcEngine, TwoWorkersMatchOracleAcrossCycles) {
   RigParams rp;
+  rp.trace = true;
   ProcOptions popt;
   popt.workers = 2;
   ProcRig rig(rp, popt);
@@ -144,6 +145,18 @@ TEST(ProcEngine, TwoWorkersMatchOracleAcrossCycles) {
   EXPECT_GT(rig.eng().audit_stats().audits, 0u);
   EXPECT_EQ(rig.eng().audit_stats().violations, 0u)
       << rig.eng().audit_stats().last_what;
+#if DGR_TRACE_ENABLED
+  // Every audit reached the controller's trace as one kAudit event.
+  ASSERT_NE(rig.eng().trace(), nullptr);
+  ASSERT_EQ(rig.eng().trace()->dropped(), 0u);
+  const std::vector<obs::TraceEvent> ev = rig.eng().trace()->snapshot();
+  EXPECT_EQ(static_cast<std::uint64_t>(std::count_if(
+                ev.begin(), ev.end(),
+                [](const obs::TraceEvent& e) {
+                  return e.type == obs::EventType::kAudit;
+                })),
+            rig.eng().audit_stats().audits);
+#endif
   // Protocol accounting: every plane shipped one handoff per worker and the
   // waves really crossed the wire.
   const ProcEngineStats s = rig.eng().stats();
@@ -190,10 +203,10 @@ TEST(ProcEngine, FaultedWorkerChannelStillExact) {
   rp.seed = 21;
   ProcOptions popt;
   popt.workers = 2;
-  popt.fault_seed = 77;
-  popt.faults.drop = 0.10;
-  popt.faults.duplicate = 0.10;
-  popt.faults.reorder = 0.20;
+  popt.faults.seed = 77;
+  popt.faults.spec.drop = 0.10;
+  popt.faults.spec.duplicate = 0.10;
+  popt.faults.spec.reorder = 0.20;
   popt.reliable.rto_initial_us = 300;
   ProcRig rig(rp, popt);
   rig.eng().controller().set_paranoid_sweep_check(true);
@@ -309,10 +322,10 @@ TEST(ProcBatching, ChannelPathUnderFaultsBatchesAndMatchesOracle) {
   // frame, each lost frame costs an RTO round of go-back-32 retransmits, and
   // the relayed-frame bound below fails at this drop rate.
   ProcOptions popt;
-  popt.fault_seed = 77;
-  popt.faults.drop = 0.10;
-  popt.faults.duplicate = 0.10;
-  popt.faults.reorder = 0.20;
+  popt.faults.seed = 77;
+  popt.faults.spec.drop = 0.10;
+  popt.faults.spec.duplicate = 0.10;
+  popt.faults.spec.reorder = 0.20;
   check_batched_cycle(popt);
 }
 

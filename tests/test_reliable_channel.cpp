@@ -17,6 +17,7 @@
 #include "graph/builder.h"
 #include "graph/oracle.h"
 #include "net/reliable_channel.h"
+#include "runtime/message_plane.h"
 #include "runtime/thread_engine.h"
 
 namespace dgr {
@@ -461,33 +462,45 @@ TEST(ThreadEngineUnderFaults, AuditedCyclesStayClean) {
   EXPECT_EQ(eng.health().total(), 0u);
 }
 
-TEST(ThreadEngineUnderFaults, ForceReliableWithoutFaultsIsTransparent) {
-  Graph g = make_presized(2, 1200);
-  RandomGraphOptions opt;
-  opt.num_vertices = 800;
-  opt.seed = 3;
-  const BuiltGraph b = build_random_graph(g, opt);
-  Oracle o(g, b.root, {});
-  NetOptions net;
-  net.force_reliable = true;  // channel layer on, zero fault schedule
-  // A spurious RTO under scheduler jitter would retransmit (harmless but
-  // nonzero counters); under TSan a PE can stall well past the default
-  // 20 ms rto_max, so push both knobs out to 10 min to keep zeros exact.
-  net.reliable.rto_initial_us = 600000000;
-  net.reliable.rto_max_us = 600000000;
-  ThreadEngine eng(g, net);
-  eng.set_root(b.root);
-  eng.start();
-  eng.controller().start_cycle();
-  eng.wait_cycle_done();
-  eng.stop();
-  for (VertexId v : b.vertices) {
-    if (g.is_free(v)) continue;
-    EXPECT_EQ(eng.marker().is_marked(Plane::kR, v), o.in_R(v));
+// ---- The shared receive routine: a payload that is not a task is loud. ----
+
+TEST(MessagePlaneReceive, UndecodablePayloadIsCountedNotExecuted) {
+  obs::MetricsRegistry reg(2);
+  std::deque<std::pair<PeId, Bytes>> wire;
+  FaultPlaneOptions faults;
+  faults.spec.drop = 0.5;  // a nonzero schedule builds the channel stack...
+  MessagePlane plane(
+      2, faults, ReliableOptions{},
+      [&](PeId, PeId dst, Bytes f) { wire.emplace_back(dst, std::move(f)); },
+      reg);
+  ASSERT_NE(plane.channel(), nullptr);
+  // ...and clean pair schedules deliver the one frame intact, exactly once.
+  plane.fault()->set_pair_spec(0, 1, FaultSpec{});
+  plane.fault()->set_pair_spec(1, 0, FaultSpec{});
+  plane.channel()->send(0, 1, Bytes{1, 2, 3}, 0);
+  plane.channel()->flush(0, 0);
+  std::size_t consumed = 0, executed = 0;
+  const auto now = [] { return std::uint64_t{0}; };
+  const auto exec = [&](const Task&) { ++executed; };
+  while (!wire.empty()) {
+    auto [dst, frame] = std::move(wire.front());
+    wire.pop_front();
+    consumed += plane.receive(dst, dst, frame, now, exec);
   }
-  ASSERT_NE(eng.channels(), nullptr);
-  EXPECT_EQ(eng.fault_plane()->stats().total_injected(), 0u);
-  EXPECT_EQ(eng.metrics_registry().total(obs::Counter::kMsgDupSuppressed), 0u);
+  EXPECT_EQ(consumed, 1u);
+  EXPECT_EQ(executed, 0u);
+  EXPECT_EQ(reg.total(obs::Counter::kMsgDecodeError), 1u);
+  EXPECT_EQ(plane.channel()->stats().decode_errors, 0u);  // frame was sound
+
+  // The bare plane (no faults) takes the same path for the raw message.
+  obs::MetricsRegistry bare_reg(2);
+  MessagePlane bare(2, FaultPlaneOptions{}, ReliableOptions{},
+                    [](PeId, PeId, Bytes) {}, bare_reg);
+  ASSERT_EQ(bare.channel(), nullptr);
+  const Bytes junk{1, 2, 3};
+  EXPECT_EQ(bare.receive(1, 1, junk, now, exec), 1u);
+  EXPECT_EQ(executed, 0u);
+  EXPECT_EQ(bare_reg.total(obs::Counter::kMsgDecodeError), 1u);
 }
 
 }  // namespace

@@ -121,9 +121,9 @@ TEST(System, DeterministicAcrossRuns) {
     // The schedule itself is reproducible, not just the answer.
     static std::uint64_t first_steps = 0;
     if (i == 0) {
-      first_steps = sys.engine().metrics().steps;
+      first_steps = sys.engine().steps();
     } else {
-      EXPECT_EQ(sys.engine().metrics().steps, first_steps);
+      EXPECT_EQ(sys.engine().steps(), first_steps);
     }
   }
 }

@@ -202,10 +202,15 @@ TEST(TelemetryCodec, WorkerConfigCarriesTraceRequest) {
   c.num_pes = 8;
   c.pe_begin = 4;
   c.pe_count = 4;
+  c.fault_seed = 9;
+  c.faults.drop = 0.25;
   c.trace_enabled = true;
   c.trace_capacity = 512;
   WorkerConfig d;
   ASSERT_TRUE(decode_worker_config(encode_worker_config(c), d));
+  EXPECT_EQ(d.pe_begin, 4u);
+  EXPECT_EQ(d.fault_seed, 9u);
+  EXPECT_EQ(d.faults.drop, 0.25);
   EXPECT_TRUE(d.trace_enabled);
   EXPECT_EQ(d.trace_capacity, 512u);
   c.trace_enabled = false;

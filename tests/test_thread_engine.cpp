@@ -304,8 +304,8 @@ TEST(ThreadEngine, ManyPesScaleSmoke) {
   eng.wait_cycle_done();
   eng.stop();
   // Cross-PE message traffic must exist (partition-crossing marking).
-  EXPECT_GT(eng.stats().remote_messages, 0u);
-  EXPECT_GT(eng.stats().bytes_sent, 0u);
+  EXPECT_GT(eng.metrics_registry().total(obs::Counter::kRemoteMessages), 0u);
+  EXPECT_GT(eng.metrics_registry().total(obs::Counter::kBytesSent), 0u);
   Oracle o(g, b.root, {});
   g.for_each_live([&](VertexId v) {
     EXPECT_EQ(eng.marker().is_marked(Plane::kR, v), o.in_R(v));
@@ -348,10 +348,10 @@ std::vector<std::size_t> audited_run(NetOptions net, std::uint64_t seed) {
 
 TEST(ThreadEngineBatching, NoBatchAndAggressiveBatchingAgree) {
   NetOptions off;
-  off.batch_bytes = 0;  // exact pre-batching message plane
+  off.reliable.batch_bytes = 0;  // exact pre-batching message plane
   NetOptions on;
-  on.batch_bytes = 32768;  // never size-ripe: age/idle flush carries it all
-  on.batch_flush_us = 50;
+  on.reliable.batch_bytes = 32768;  // never size-ripe: age/idle flush
+  on.reliable.batch_flush_us = 50;  // carries it all
   const std::vector<std::size_t> a = audited_run(off, 31);
   const std::vector<std::size_t> b = audited_run(on, 31);
   EXPECT_EQ(a, b);  // identical sweep census, cycle for cycle
@@ -379,12 +379,13 @@ TEST(ThreadEngineBatching, BatchedCycleBatchesAndStaysClean) {
   EXPECT_EQ(eng.controller().last().swept, expected_gar);
   // The hot path really ran batched: multi-message deliveries with sane
   // accounting (flushes never exceed the messages they carried).
-  const ThreadEngineStats st = eng.stats();
-  EXPECT_GT(st.msg_batched, 0u);
-  EXPECT_GT(st.batch_flushes, 0u);
-  EXPECT_LE(st.batch_flushes, st.msg_batched);
-  EXPECT_EQ(eng.metrics_registry().total(obs::Counter::kMsgBatched),
-            st.msg_batched);
+  const std::uint64_t batched =
+      eng.metrics_registry().total(obs::Counter::kMsgBatched);
+  const std::uint64_t flushes =
+      eng.metrics_registry().total(obs::Counter::kBatchFlush);
+  EXPECT_GT(batched, 0u);
+  EXPECT_GT(flushes, 0u);
+  EXPECT_LE(flushes, batched);
 }
 
 // ---- Locality plane: boundary summaries + idle-PE work stealing. ----
@@ -426,8 +427,8 @@ TEST(ThreadEngineLocality, BoundaryDedupCutsRemoteTrafficNotMarks) {
     eng.controller().start_cycle();
     eng.wait_cycle_done();
     eng.stop();
-    *dedup = eng.stats().boundary_dedup;
-    *remote = eng.stats().remote_messages;
+    *dedup = eng.metrics_registry().total(obs::Counter::kBoundaryDedup);
+    *remote = eng.metrics_registry().total(obs::Counter::kRemoteMessages);
     for (VertexId v : b.vertices) {
       if (g.is_free(v)) continue;
       EXPECT_EQ(eng.marker().is_marked(Plane::kR, v), o.in_R(v));
@@ -457,7 +458,7 @@ TEST(ThreadEngineLocality, StealingMovesTasksAndAgreesWithOracle) {
   Oracle o(g, b.root, b.tasks);
   NetOptions net;
   net.steal_min = 1;
-  net.batch_bytes = 0;  // per-task frames: mailbox depth == task backlog
+  net.reliable.batch_bytes = 0;  // per-task frames: depth == task backlog
   ThreadEngine eng(g, net);
   eng.set_root(b.root);
   for (const TaskRef& t : b.tasks)
@@ -468,9 +469,11 @@ TEST(ThreadEngineLocality, StealingMovesTasksAndAgreesWithOracle) {
     eng.wait_cycle_done();
   }
   eng.stop();
-  EXPECT_GT(eng.stats().steal_batches, 0u);
-  EXPECT_GT(eng.stats().steal_tasks, 0u);
-  EXPECT_GE(eng.stats().steal_tasks, eng.stats().steal_batches);
+  const obs::MetricsRegistry& reg = eng.metrics_registry();
+  EXPECT_GT(reg.total(obs::Counter::kStealBatches), 0u);
+  EXPECT_GT(reg.total(obs::Counter::kStealTasks), 0u);
+  EXPECT_GE(reg.total(obs::Counter::kStealTasks),
+            reg.total(obs::Counter::kStealBatches));
   g.for_each_live([&](VertexId v) {
     EXPECT_EQ(eng.marker().is_marked(Plane::kR, v), o.in_R(v));
     EXPECT_EQ(eng.marker().prior(Plane::kR, v), o.prior_at(v));
@@ -496,8 +499,8 @@ TEST(ThreadEngineLocality, StealOffRunsCleanWithZeroStealCounters) {
   eng.controller().start_cycle();
   eng.wait_cycle_done();
   eng.stop();
-  EXPECT_EQ(eng.stats().steal_batches, 0u);
-  EXPECT_EQ(eng.stats().steal_tasks, 0u);
+  EXPECT_EQ(eng.metrics_registry().total(obs::Counter::kStealBatches), 0u);
+  EXPECT_EQ(eng.metrics_registry().total(obs::Counter::kStealTasks), 0u);
   g.for_each_live([&](VertexId v) {
     EXPECT_EQ(eng.marker().is_marked(Plane::kR, v), o.in_R(v));
   });

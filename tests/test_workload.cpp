@@ -141,6 +141,7 @@ std::vector<SessionTuple> run_sim(const WorkloadOptions& w,
 #endif
 }
 
+#if DGR_TRACE_ENABLED
 std::vector<SessionTuple> run_thread(const WorkloadOptions& w) {
   Graph g(w.pes, workload::required_capacity(w));
   ThreadEngine eng(g, NetOptions{});
@@ -153,15 +154,9 @@ std::vector<SessionTuple> run_thread(const WorkloadOptions& w) {
   eng.start();
   drv.run(workload::generate_schedule(w));
   eng.stop();
-#if DGR_TRACE_ENABLED
   return session_tuples(tb->snapshot());
-#else
-  (void)tb;
-  return {};
-#endif
 }
 
-#if DGR_TRACE_ENABLED
 TEST(WorkloadDeterminism, TraceIdenticalAcrossSimRuns) {
   const WorkloadOptions w = small_options(11);
   const auto a = run_sim(w);

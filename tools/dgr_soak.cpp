@@ -314,8 +314,7 @@ int main(int argc, char** argv) {
     case EngineKind::kProc: {
       ProcOptions popt;
       popt.workers = workers;
-      popt.faults = net.faults.spec;
-      popt.fault_seed = net.faults.seed;
+      popt.faults = net.faults;
       proc = std::make_unique<ProcEngine>(graph, popt);
       eng = workload::make_driver(*proc);
       break;
