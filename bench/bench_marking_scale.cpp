@@ -83,7 +83,7 @@ std::uint64_t count_marked(const Graph& g, const Marker& m) {
   return marked;
 }
 
-void BM_ThreadedCycle(benchmark::State& state) {
+void run_threaded_cycles(benchmark::State& state, bool traced) {
   const auto pes = static_cast<std::uint32_t>(state.range(0));
   // Full-size graph even under --smoke: the CI regression gate compares
   // per-iteration real_time against the full-mode baseline, so the workload
@@ -92,6 +92,7 @@ void BM_ThreadedCycle(benchmark::State& state) {
   Graph g = make_graph(pes, 1 << 15, 7);
   ThreadEngine eng(g);
   eng.set_root(root_of(g));
+  if (traced) eng.enable_trace();
   eng.start();
   CycleOptions copt;
   copt.detect_deadlock = false;
@@ -120,10 +121,23 @@ void BM_ThreadedCycle(benchmark::State& state) {
   state.counters["mailbox_high_water"] =
       double(eng.stats().mailbox_high_water);
 }
+
+void BM_ThreadedCycle(benchmark::State& state) {
+  run_threaded_cycles(state, false);
+}
 // UseRealTime: the benchmark thread mostly condvar-waits for the PE threads,
 // so sizing iterations by its CPU time would run ~100x more iterations than
 // the wall-time budget intends.
 BENCHMARK(BM_ThreadedCycle)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// The same cycle with the trace ring enabled: what observing costs. The
+// bench-smoke trace gate (check_bench_regression.py --trace-gate) bounds
+// its real time over BM_ThreadedCycle/2's.
+void BM_ThreadedCycleTraced(benchmark::State& state) {
+  run_threaded_cycles(state, true);
+}
+BENCHMARK(BM_ThreadedCycleTraced)->Arg(2)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // The same cycle with batching disabled (one message, one mailbox lock):

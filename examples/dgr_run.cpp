@@ -354,13 +354,6 @@ int main(int argc, char** argv) {
                  "[--kill-worker W[@CYCLE]] <file|->\n");
     return 2;
   }
-#if !DGR_TRACE_ENABLED
-  if (trace_path || jsonl_path) {
-    std::fprintf(stderr,
-                 "dgr_run: tracing was compiled out (-DDGR_TRACE=OFF)\n");
-    return 2;
-  }
-#endif
 
   Graph graph(pes);
   SimOptions sim;
@@ -447,7 +440,6 @@ int main(int argc, char** argv) {
   // In multi-process mode the primary export paths carry the merged cluster
   // view of the audit phase; the sim phase's own exports step aside.
   const bool proc_mode = audit_period && workers > 0;
-#if DGR_TRACE_ENABLED
   if (trace_path || jsonl_path) {
     const std::vector<obs::TraceEvent> events = engine.trace()->snapshot();
     if (trace_path)
@@ -459,7 +451,6 @@ int main(int argc, char** argv) {
                            : std::string(jsonl_path),
                  obs::to_jsonl(events));
   }
-#endif
   if (metrics_path)
     write_file(proc_mode ? std::string(metrics_path) + ".sim.json"
                          : std::string(metrics_path),
@@ -487,9 +478,7 @@ int main(int argc, char** argv) {
     AuditOptions aopt;
     aopt.period = audit_period;
     peng.enable_audit(aopt);
-#if DGR_TRACE_ENABLED
     if (trace_path || jsonl_path) peng.enable_trace();
-#endif
     peng.start();
     HealthEmitter health(stats_period, stats_jsonl_path);
     for (std::uint32_t i = 0; i < audit_cycles && !peng.failed(); ++i) {
@@ -519,7 +508,6 @@ int main(int argc, char** argv) {
     // rebased onto the controller clock; the JSONL is the same merged
     // stream; the metrics JSON is the merged registry plus the per-worker
     // rollup dgr_analyze's cluster section reads.
-#if DGR_TRACE_ENABLED
     if (trace_path || jsonl_path) {
       const std::vector<obs::TraceEvent> ctrl = peng.trace()->snapshot();
       const std::vector<std::vector<obs::TraceEvent>> wtr =
@@ -537,7 +525,6 @@ int main(int argc, char** argv) {
         write_file(jsonl_path, obs::to_jsonl(merged));
       }
     }
-#endif
     if (metrics_path)
       write_file(metrics_path, peng.cluster_metrics_json() + "\n");
     const AuditStats& as = peng.audit_stats();
@@ -617,12 +604,10 @@ int main(int argc, char** argv) {
     // armed. The first cycle sweeps whatever garbage evaluation left; later
     // cycles exercise the steady state (§5.4.1 invariants must hold at every
     // quiesce point, and each sweep must free exactly GAR' — Property 1).
-    for (PeId pe = 0; pe < graph.num_pes(); ++pe) graph.store(pe).taskroot();
     ThreadEngine teng(graph, net);
     teng.set_root(root);
-    teng.controller().prewarm_aux_roots();
-    // Slot vectors must never reallocate under the PE threads; everything
-    // the audit cycles need was just pre-allocated.
+    // Slot vectors must never reallocate under the PE threads; start()
+    // mints the aux roots the audit cycles need before they run.
     for (PeId pe = 0; pe < graph.num_pes(); ++pe)
       graph.store(pe).set_fixed_capacity(true);
     // Epoch hand-off: the sim marker left per-vertex tags on this graph; a
@@ -633,9 +618,7 @@ int main(int argc, char** argv) {
     aopt.period = audit_period;
     teng.enable_audit(aopt);
     teng.enable_watchdog();
-#if DGR_TRACE_ENABLED
     if (trace_path || jsonl_path) teng.enable_trace();
-#endif
     teng.start();
     HealthEmitter health(stats_period, stats_jsonl_path);
     for (std::uint32_t i = 0; i < audit_cycles; ++i) {
@@ -647,7 +630,6 @@ int main(int argc, char** argv) {
     // The audit phase's own observability, next to (not over) the sim
     // phase's files: "<path>.audit[.json|l]". The JSONL feeds dgr_analyze's
     // fault/retransmit rollup (docs/FAULTS.md).
-#if DGR_TRACE_ENABLED
     if (trace_path || jsonl_path) {
       const std::vector<obs::TraceEvent> ev = teng.trace()->snapshot();
       if (trace_path)
@@ -657,7 +639,6 @@ int main(int argc, char** argv) {
         write_file(std::string(jsonl_path) + ".audit.jsonl",
                    obs::to_jsonl(ev));
     }
-#endif
     if (metrics_path)
       write_file(std::string(metrics_path) + ".audit.json",
                  teng.metrics_registry().to_json() + "\n");

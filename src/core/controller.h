@@ -138,11 +138,12 @@ class Controller {
   void set_paranoid_sweep_check(bool on) { paranoid_ = on; }
 
   // Create the auxiliary roots (per-PE taskroots, troot, uroot, the
-  // marker's rescue roots) up front. The threaded engine needs this before
-  // start(): aux roots are otherwise allocated lazily during a cycle, on
-  // whichever PE thread ends M_T or a wave, while mutator threads allocate
-  // from the same store. The uroot is minted even for a single root, since
-  // set_roots may add more while PE threads run.
+  // marker's rescue roots) up front. ThreadEngine::start() calls it before
+  // any PE thread runs: aux roots are otherwise allocated lazily during a
+  // cycle, on whichever PE thread ends M_T or a wave, while mutator threads
+  // allocate from the same store. The uroot is minted even for a single
+  // root, since set_roots may add more while PE threads run.
+  // SessionDriver::setup() calls it too, for its sim and proc replicas.
   void prewarm_aux_roots();
 
   // Observability: emit cycle / phase / restructuring events into `t`

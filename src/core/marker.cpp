@@ -57,13 +57,9 @@ void Marker::spawn_return(Plane plane, VertexId par) {
 void Marker::exec_mark(Plane plane, VertexId v, VertexId par,
                        std::uint8_t prior) {
   PlaneState& ps = st(plane);
-#if DGR_TRACE_ENABLED
   const std::uint64_t nmarks = ++ps.stats.marks;
   if (trace_ && nmarks % kWaveFrontPeriod == 0)
     trace_->emit(obs::EventType::kWaveFront, plane, v.pe, 0, nmarks);
-#else
-  ++ps.stats.marks;
-#endif
   Vertex& vx = g_.at(v);
   DGR_CHECK_MSG(vx.live, "mark task reached a freed vertex");
   MarkPlane& m = fresh(vx, plane);

@@ -24,7 +24,7 @@
 #include "net/reliable_channel.h"
 #include "net/wire.h"
 #include "obs/metrics.h"  // Counter/Hist index bounds (inline constants only)
-#include "obs/trace.h"    // TraceEvent — a header-only POD, trace-off safe
+#include "obs/trace.h"    // TraceEvent
 
 namespace dgr {
 
@@ -52,7 +52,7 @@ struct WorkerConfig {
   FaultSpec faults;
   ReliableOptions reliable;
   // Telemetry plane: capture a worker-side trace ring and ship it at every
-  // quiesce (honored only in DGR_TRACE builds; counters always ship).
+  // quiesce (counters always ship).
   bool trace_enabled = false;
   std::uint32_t trace_capacity = 1u << 14;
 };
@@ -245,8 +245,8 @@ struct TelemetryMsg {
   };
   std::vector<HistDelta> hists;
 
-  // Trace events drained from the worker's ring this interval (empty under
-  // -DDGR_TRACE=OFF), capped at kMaxTelemetryEvents.
+  // Trace events drained from the worker's ring this interval (empty unless
+  // trace_enabled), capped at kMaxTelemetryEvents.
   std::vector<obs::TraceEvent> events;
   std::uint64_t events_omitted = 0;  // drained but over the payload cap
   std::uint64_t ring_dropped = 0;    // ring overwrites since the last report

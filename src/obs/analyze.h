@@ -16,8 +16,6 @@
 //     reported DL'_v = R'_v − T' (Theorem 2), the evidence chain — the M_T
 //     and M_R wave stats the subtraction was computed from plus the named
 //     deadlocked vertices (kDeadlockVertex events).
-//
-// Only built when DGR_TRACE is ON (it consumes what only traced builds emit).
 #pragma once
 
 #include <cstdint>

@@ -2,9 +2,6 @@
 // order — byte-reproducible for a fixed sim seed) and Chrome trace_event
 // JSON (load in chrome://tracing or https://ui.perfetto.dev; one track per
 // PE plus a "controller" track carrying cycle/phase spans).
-//
-// Only built when DGR_TRACE is ON; dgr_run and tests guard their use with
-// DGR_TRACE_ENABLED.
 #pragma once
 
 #include <string>

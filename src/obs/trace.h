@@ -8,9 +8,9 @@
 // Exporters (obs/export.h) turn a snapshot into JSONL or Chrome trace_event
 // JSON — see docs/OBSERVABILITY.md for the taxonomy and how to read a cycle.
 //
-// Emission sites use the DGR_TRACE_EVENT macro, which compiles to nothing
-// under -DDGR_TRACE=OFF (DGR_TRACE_ENABLED=0): the disabled build references
-// no obs trace symbols (asserted by the `obs_trace_compiled_out` ctest).
+// Emission sites use the DGR_TRACE_EVENT macro, which costs one null test of
+// the sink when tracing is not enabled at run time (docs/OBSERVABILITY.md,
+// "What tracing costs").
 #pragma once
 
 #include <cstdint>
@@ -20,23 +20,10 @@
 
 #include "graph/vertex.h"
 
-#ifndef DGR_TRACE_ENABLED
-#define DGR_TRACE_ENABLED 1
-#endif
-
-#if DGR_TRACE_ENABLED
 #define DGR_TRACE_EVENT(sink, ...)           \
   do {                                       \
     if (sink) (sink)->emit(__VA_ARGS__);     \
   } while (0)
-#else
-// sizeof keeps the arguments "used" (no -Wunused warnings at call sites)
-// without evaluating them or referencing any symbol in the object file.
-#define DGR_TRACE_EVENT(sink, ...)              \
-  do {                                          \
-    (void)sizeof((void)(sink), __VA_ARGS__, 0); \
-  } while (0)
-#endif
 
 namespace dgr::obs {
 
@@ -88,8 +75,6 @@ enum class HealthKind : std::uint8_t {
 };
 inline constexpr std::size_t kNumHealthKinds =
     static_cast<std::size_t>(HealthKind::kCount_);
-// Inline (not in trace.cpp): health counters survive -DDGR_TRACE=OFF, so
-// their names must too.
 inline const char* health_kind_name(HealthKind k) {
   switch (k) {
     case HealthKind::kMarkStall: return "mark_stall";
@@ -116,8 +101,7 @@ struct TraceEvent {
 // A synthetic event recording that `ring_dropped` events were overwritten in
 // the source ring and `omitted` more fell past the telemetry payload cap
 // before this point in the stream. Emitted by the cluster merger (and usable
-// by any exporter) so drop accounting rides the normal event path — inline
-// because it's pure struct assembly, safe under -DDGR_TRACE=OFF.
+// by any exporter) so drop accounting rides the normal event path.
 inline TraceEvent make_drop_event(std::uint64_t ts, std::uint64_t cycle,
                                   std::uint16_t pe, std::uint64_t ring_dropped,
                                   std::uint64_t omitted) {

@@ -97,8 +97,8 @@ void ProcEngine::start() {
   started_ = true;
   // No prewarm_aux_roots here: the controller mints every aux root it needs
   // (taskroots, troot, uroot) before on_plane_begin fires, so the handoff
-  // always ships them — and eager allocation here would advance this graph's
-  // free lists relative to the sim/thread replicas the chaos harness diffs.
+  // always ships them, and this engine's mutators run between cycles, so
+  // lazy minting races nothing.
 
   hub_.set_control_handler([this](std::uint32_t worker, NetFrame f) {
     handle_control(worker, std::move(f));
@@ -705,7 +705,6 @@ void ProcEngine::quiesce_begin() {
 }
 
 obs::TraceBuffer* ProcEngine::enable_trace(std::size_t capacity) {
-#if DGR_TRACE_ENABLED
   if (!trace_) {
     trace_ = std::make_unique<obs::TraceBuffer>(capacity);
     trace_->set_clock([this] { return now_us(); });
@@ -717,10 +716,6 @@ obs::TraceBuffer* ProcEngine::enable_trace(std::size_t capacity) {
     trace_capacity_ = static_cast<std::uint32_t>(capacity);
   }
   return trace_.get();
-#else
-  (void)capacity;
-  return nullptr;
-#endif
 }
 
 std::vector<std::vector<obs::TraceEvent>> ProcEngine::worker_traces() const {

@@ -165,7 +165,6 @@ class ProcEngine final : public TaskSink, public EngineHooks {
   // Controller-side trace ring. Call BEFORE start(): the same call arms
   // worker-side capture (each worker's kRegisterAck config carries
   // trace_enabled + capacity, and its ring ships back at every quiesce).
-  // Returns nullptr under -DDGR_TRACE=OFF (workers then ship counters only).
   obs::TraceBuffer* enable_trace(std::size_t capacity = 1 << 14);
   obs::TraceBuffer* trace() { return trace_.get(); }
 

@@ -23,7 +23,6 @@ SimEngine::SimEngine(Graph& g, SimOptions opt)
 SimEngine::~SimEngine() = default;
 
 obs::TraceBuffer* SimEngine::enable_trace(std::size_t capacity) {
-#if DGR_TRACE_ENABLED
   if (!trace_) {
     trace_ = std::make_unique<obs::TraceBuffer>(capacity);
     trace_->set_clock([this] { return steps_; });
@@ -32,10 +31,6 @@ obs::TraceBuffer* SimEngine::enable_trace(std::size_t capacity) {
     controller_->set_trace(trace_.get());
   }
   return trace_.get();
-#else
-  (void)capacity;
-  return nullptr;
-#endif
 }
 
 void SimEngine::spawn(Task t) {

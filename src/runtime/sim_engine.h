@@ -72,8 +72,7 @@ class SimEngine final : public TaskSink, public EngineHooks {
 
   // Start capturing a structured trace of `capacity` events (ring buffer;
   // oldest dropped). Timestamps are sim steps, so traces are byte-identical
-  // across runs with the same seed. Returns nullptr when tracing is
-  // compiled out (-DDGR_TRACE=OFF).
+  // across runs with the same seed.
   obs::TraceBuffer* enable_trace(std::size_t capacity = 1 << 14);
   obs::TraceBuffer* trace() { return trace_.get(); }
 

@@ -21,6 +21,24 @@ constexpr std::uint32_t kBackpressureSpins = 64;
 // Idle parking bound on the mailbox condvar (see pe_loop).
 constexpr std::uint32_t kIdleWaitUs = 100;
 
+// Acquires one of the engine's spinlocks (vertex stripes, boundary-summary
+// shards): a bounded run of pauses, then yield. An unbounded pause loop is
+// correct on a dedicated core but pathological when PE threads share cores:
+// if the holder is descheduled mid-critical-section, a pause-only spinner
+// burns its whole scheduler quantum before the holder can run again.
+void spin_acquire(std::atomic_flag& f) {
+  std::uint32_t spins = 0;
+  while (f.test_and_set(std::memory_order_acquire)) {
+#if defined(__x86_64__)
+    if (++spins < 64) {
+      __builtin_ia32_pause();
+      continue;
+    }
+#endif
+    std::this_thread::yield();
+  }
+}
+
 // Mutation gate shared between external mutators and the quiescing
 // restructurer. Static keeps the header light; engines are few.
 std::shared_mutex& mutation_gate() {
@@ -69,6 +87,10 @@ ThreadEngine::~ThreadEngine() { stop(); }
 
 void ThreadEngine::start() {
   if (running_.exchange(true)) return;
+  // Mint every aux root (taskroots, troot, uroot, rescue roots) before any
+  // PE thread runs: minted lazily, the first rescue wave would allocate on
+  // store 0 from a PE thread, racing a mutator allocating there.
+  controller_->prewarm_aux_roots();
   count_edge_cut();
   for (PeId pe = 0; pe < g_.num_pes(); ++pe)
     threads_.emplace_back([this, pe] { pe_loop(pe); });
@@ -85,21 +107,7 @@ void ThreadEngine::stop() {
 }
 
 void ThreadEngine::lock_vertex(VertexId v) {
-  auto& f = locks_[lock_index(v)];
-  std::uint32_t spins = 0;
-  while (f.test_and_set(std::memory_order_acquire)) {
-#if defined(__x86_64__)
-    // Bounded pause, then yield. An unbounded pause loop is correct on a
-    // dedicated core but pathological when PE threads share cores: if the
-    // holder is descheduled mid-critical-section, a pause-only spinner
-    // burns its whole scheduler quantum before the holder can run again.
-    if (++spins < 64) {
-      __builtin_ia32_pause();
-      continue;
-    }
-#endif
-    std::this_thread::yield();
-  }
+  spin_acquire(locks_[lock_index(v)]);
 }
 
 void ThreadEngine::unlock_vertex(VertexId v) {
@@ -179,13 +187,7 @@ bool ThreadEngine::admit_mark(Plane plane, VertexId child, std::uint8_t prior,
   BoundaryShard& s =
       *summary_[child.pe * 2u + (plane == Plane::kR ? 0u : 1u)];
   bool admit = true;
-  while (s.mu.test_and_set(std::memory_order_acquire)) {
-#if defined(__x86_64__)
-    __builtin_ia32_pause();
-#else
-    std::this_thread::yield();
-#endif
-  }
+  spin_acquire(s.mu);
   if (child.idx >= s.epoch.size()) {
     s.epoch.resize(child.idx + 1, 0);
     s.prior.resize(child.idx + 1, 0);
@@ -388,9 +390,7 @@ void ThreadEngine::atomically(std::span<const VertexId> vs,
   for (VertexId v : vs) idx.push_back(lock_index(v));
   std::sort(idx.begin(), idx.end());
   idx.erase(std::unique(idx.begin(), idx.end()), idx.end());
-  for (std::uint32_t i : idx)
-    while (locks_[i].test_and_set(std::memory_order_acquire))
-      std::this_thread::yield();
+  for (std::uint32_t i : idx) spin_acquire(locks_[i]);
   fn();
   for (auto it = idx.rbegin(); it != idx.rend(); ++it)
     locks_[*it].clear(std::memory_order_release);
@@ -536,7 +536,6 @@ void ThreadEngine::watchdog_loop() {
 }
 
 obs::TraceBuffer* ThreadEngine::enable_trace(std::size_t capacity) {
-#if DGR_TRACE_ENABLED
   if (!trace_) {
     trace_ = std::make_unique<obs::TraceBuffer>(capacity);
     trace_->set_clock([this] { return now_us(); });
@@ -547,10 +546,6 @@ obs::TraceBuffer* ThreadEngine::enable_trace(std::size_t capacity) {
     audit_.set_trace(trace_.get());
   }
   return trace_.get();
-#else
-  (void)capacity;
-  return nullptr;
-#endif
 }
 
 ThreadEngineStats ThreadEngine::stats() const {

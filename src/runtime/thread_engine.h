@@ -87,8 +87,8 @@ struct ThreadEngineStats {
 //   - a marking wave with no front progress for `stall_samples` samples,
 //   - a mailbox backlog above `mailbox_saturation`,
 //   - more than `rescue_storm` supplementary waves within one cycle,
-// as health_warning trace events plus always-on counters (the counters
-// survive -DDGR_TRACE=OFF; only the event emission compiles out).
+// as health_warning trace events (when tracing is enabled) plus always-on
+// counters.
 struct WatchdogOptions {
   std::uint32_t interval_ms = 2;
   std::uint32_t stall_samples = 500;  // ~1 s of no progress at 2 ms
@@ -182,8 +182,7 @@ class ThreadEngine final : public TaskSink, public EngineHooks {
   const obs::MetricsRegistry& metrics_registry() const { return reg_; }
 
   // Start capturing a structured trace (ring buffer; oldest dropped).
-  // Timestamps are µs since engine construction. Returns nullptr when
-  // tracing is compiled out (-DDGR_TRACE=OFF). Call before start().
+  // Timestamps are µs since engine construction. Call before start().
   obs::TraceBuffer* enable_trace(std::size_t capacity = 1 << 14);
   obs::TraceBuffer* trace() { return trace_.get(); }
 

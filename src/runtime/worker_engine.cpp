@@ -40,14 +40,12 @@ WorkerEngine::WorkerEngine(Socket sock, FrameCodec codec,
   prev_counters_.resize(cfg_.num_pes);
   for (auto& row : prev_counters_) row.fill(0);
   prev_hists_.resize(static_cast<std::size_t>(cfg_.num_pes) * obs::kNumHists);
-#if DGR_TRACE_ENABLED
   if (cfg_.trace_enabled) {
     trace_ = std::make_unique<obs::TraceBuffer>(cfg_.trace_capacity);
     trace_->set_clock([this] { return now_us(); });
     marker_.set_trace(trace_.get());
     plane_.set_trace(trace_.get());
   }
-#endif
   // Termination detection runs here when this worker owns the collapsing
   // root: the rootpar return raises done, and the controller learns of it
   // through a kPlaneDone frame (never through a local callback chain).
@@ -198,7 +196,6 @@ void WorkerEngine::send_telemetry(Plane plane, std::uint64_t epoch) {
       if (!hd.buckets.empty()) m.hists.push_back(std::move(hd));
     }
   }
-#if DGR_TRACE_ENABLED
   if (trace_) {
     // Stamp the lane once per quiesce even when the wave was tiny (fewer
     // marks than the marker's wave-front sampling period): every worker then
@@ -215,7 +212,6 @@ void WorkerEngine::send_telemetry(Plane plane, std::uint64_t epoch) {
     }
     m.events = std::move(ev);
   }
-#endif
   NetFrame f;
   f.type = FrameType::kTelemetry;
   f.src = cfg_.pe_begin;

@@ -141,8 +141,8 @@ class WorkerEngine final : public TaskSink {
   obs::MetricsRegistry reg_;
   std::vector<std::array<std::uint64_t, obs::kNumCounters>> prev_counters_;
   std::vector<Histogram> prev_hists_;  // num_pes × kNumHists, row-major
-  // Worker-side trace ring (populated only in DGR_TRACE builds when the
-  // controller asked for it; the unique_ptr itself is trace-off safe).
+  // Worker-side trace ring (populated only when the controller asked for
+  // it).
   std::unique_ptr<obs::TraceBuffer> trace_;
   // Worker-side message plane for worker↔worker marks (sender-side state for
   // pairs whose src this worker owns, receiver-side for its dst PEs).

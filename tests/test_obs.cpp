@@ -9,14 +9,11 @@
 #include <vector>
 
 #include "graph/builder.h"
+#include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/sim_engine.h"
 #include "runtime/thread_engine.h"
-
-#if DGR_TRACE_ENABLED
-#include "obs/export.h"
-#endif
 
 namespace dgr {
 namespace {
@@ -113,8 +110,6 @@ TEST(MetricsRegistry, SimEngineChargesExecutingPe) {
     sum += eng.metrics_registry().get(pe, obs::Counter::kMarkTasks);
   EXPECT_EQ(sum, marks);
 }
-
-#if DGR_TRACE_ENABLED
 
 TEST(TraceBuffer, RingOverflowDropsOldest) {
   obs::TraceBuffer t(8);
@@ -234,8 +229,6 @@ TEST(TraceExport, ThreadEngineTraceCapturesCycle) {
   EXPECT_TRUE(kinds.count(obs::EventType::kCycleEnd));
   EXPECT_TRUE(kinds.count(obs::EventType::kWaveFront));
 }
-
-#endif  // DGR_TRACE_ENABLED
 
 }  // namespace
 }  // namespace dgr

@@ -31,8 +31,7 @@ struct RigParams {
   std::uint32_t capacity = 900;
   std::uint32_t vertices = 500;
   std::uint32_t tasks = 12;
-  // Arm controller + worker trace rings before start() (no-op when tracing
-  // is compiled out; the telemetry counters flow regardless).
+  // Arm controller + worker trace rings before start().
   bool trace = false;
   std::size_t trace_capacity = 1 << 14;
 };
@@ -145,7 +144,6 @@ TEST(ProcEngine, TwoWorkersMatchOracleAcrossCycles) {
   EXPECT_GT(rig.eng().audit_stats().audits, 0u);
   EXPECT_EQ(rig.eng().audit_stats().violations, 0u)
       << rig.eng().audit_stats().last_what;
-#if DGR_TRACE_ENABLED
   // Every audit reached the controller's trace as one kAudit event.
   ASSERT_NE(rig.eng().trace(), nullptr);
   ASSERT_EQ(rig.eng().trace()->dropped(), 0u);
@@ -156,7 +154,6 @@ TEST(ProcEngine, TwoWorkersMatchOracleAcrossCycles) {
                   return e.type == obs::EventType::kAudit;
                 })),
             rig.eng().audit_stats().audits);
-#endif
   // Protocol accounting: every plane shipped one handoff per worker and the
   // waves really crossed the wire.
   const ProcEngineStats s = rig.eng().stats();
@@ -410,7 +407,6 @@ TEST(ProcTelemetry, EveryWorkerReportsEveryPlane) {
   EXPECT_GT(rig.eng().clock_samples(1), 0u);
 }
 
-#if DGR_TRACE_ENABLED
 // Lane projection that ignores wall-clock: the behavioral part of a worker's
 // trace (event kinds, planes, PE attribution, cumulative mark counts) is
 // deterministic for a given seed even though timestamps never are.
@@ -489,7 +485,6 @@ TEST(ProcTelemetry, TinyRingSurfacesDropAccounting) {
   // worker row must account for what its lane lost.
   EXPECT_GE(rollup_drops, drop_sum);
 }
-#endif  // DGR_TRACE_ENABLED
 
 }  // namespace
 }  // namespace dgr

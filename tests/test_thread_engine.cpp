@@ -231,7 +231,10 @@ TEST(ThreadEngine, ConcurrentRescuesInOneWaveAreAllMarked) {
   // queue rescues at once while a PE thread may launch the rescue wave. Pin
   // the M_R wave at the root (a mutator holds the root's stripe) while 4
   // threads queue rescues for 256 unreachable vertices; once released, the
-  // wave terminates and the rescue wave must mark every one of them.
+  // wave terminates and the rescue wave must mark every one of them. A
+  // fifth mutator allocates on store 0 while that wave launches: start()
+  // minted the rescue root, so the launching PE thread allocates nothing
+  // (minted lazily, it would race this mutator on the store's free list).
   Graph g = make_presized(2, 1200);
   RandomGraphOptions opt;
   opt.num_vertices = 600;
@@ -275,8 +278,24 @@ TEST(ThreadEngine, ConcurrentRescuesInOneWaveAreAllMarked) {
   EXPECT_TRUE(eng.marker().marking_in_progress(Plane::kR));
   for (VertexId v : orphans)
     EXPECT_TRUE(eng.marker().is_rescue_queued(Plane::kR, v));
+  // Nothing the churner does after `churning` is ordered with the PE
+  // thread that launches the rescue wave.
+  std::atomic<bool> churning{false};
+  std::thread churner([&] {
+    churning = true;
+    while (eng.marker().rescue_waves(Plane::kR) == 0 &&
+           !eng.controller().idle()) {
+      eng.atomically(std::span<const VertexId>(), [&] {
+        const VertexId v = g.alloc(0, OpCode::kData);
+        if (v.valid()) g.store(0).release(v.idx);
+      });
+      std::this_thread::yield();
+    }
+  });
+  while (!churning) std::this_thread::yield();
   release = true;
   holder.join();
+  churner.join();
   eng.wait_cycle_done();
   eng.stop();
 

@@ -92,10 +92,6 @@ struct SessionTuple {
   bool operator==(const SessionTuple&) const = default;
 };
 
-// Trace snapshots link only in tracing builds; under -DDGR_TRACE=OFF the
-// run helpers still exercise the driver end to end and return no tuples,
-// and the two trace-equality tests compile out with them.
-#if DGR_TRACE_ENABLED
 std::vector<SessionTuple> session_tuples(const std::vector<obs::TraceEvent>& evs) {
   std::vector<SessionTuple> out;
   for (const auto& e : evs) {
@@ -111,7 +107,6 @@ std::vector<SessionTuple> session_tuples(const std::vector<obs::TraceEvent>& evs
   }
   return out;
 }
-#endif  // DGR_TRACE_ENABLED
 
 std::vector<SessionTuple> run_sim(const WorkloadOptions& w,
                                   workload::SoakTotals* totals = nullptr,
@@ -133,15 +128,9 @@ std::vector<SessionTuple> run_sim(const WorkloadOptions& w,
     g.for_each_live([&](VertexId) { ++n; });
     *live_non_aux = n;
   }
-#if DGR_TRACE_ENABLED
   return session_tuples(tb->snapshot());
-#else
-  (void)tb;
-  return {};
-#endif
 }
 
-#if DGR_TRACE_ENABLED
 std::vector<SessionTuple> run_thread(const WorkloadOptions& w) {
   Graph g(w.pes, workload::required_capacity(w));
   ThreadEngine eng(g, NetOptions{});
@@ -175,7 +164,6 @@ TEST(WorkloadDeterminism, TraceIdenticalSimVsThread) {
   ASSERT_FALSE(sim.empty());
   EXPECT_EQ(sim, thr);
 }
-#endif  // DGR_TRACE_ENABLED
 
 TEST(WorkloadLifecycle, AllSessionsRetireAndRegionsSweep) {
   const WorkloadOptions w = small_options(9);

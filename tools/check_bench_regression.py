@@ -29,6 +29,11 @@ dgr_soak report (see check_slo_gate): hard §5.4.1/telemetry invariants plus
 the absolute sessions/s floor and mutator-stall p99 ceiling recorded in the
 committed bench/baselines/SESSIONS_soak_smoke.json (--slo-baseline).
 
+--trace-gate BENCH_marking_scale.json bounds what enabled tracing costs,
+within that one run: BM_ThreadedCycleTraced/2 (the same cycle with the trace
+ring enabled) over BM_ThreadedCycle/2 real time must not exceed
+TRACE_RATIO_MAX (its comment says how the bound was derived).
+
 Additionally --throughput-ratio-floor R asserts, within the CURRENT run of
 BENCH_latency.json alone (no cross-machine comparison at all), that the
 batched cross-PE throughput leg (BM_CrossPeTaskThroughput/1) beats the
@@ -44,6 +49,13 @@ import json
 import os
 import statistics
 import sys
+
+# Bound for --trace-gate: traced over untraced BM_ThreadedCycle/2 real time
+# in one full `bench_marking_scale --smoke` run. Twelve such runs on a
+# 4-vCPU host (RelWithDebInfo, GCC 12.2.0) gave a median ratio of 1.034 with
+# quartiles 0.982 and 1.094; the bound is median + 3 x IQR. docs/PERF.md,
+# "Trace compiled in, compiled out and enabled", lists the runs.
+TRACE_RATIO_MAX = 1.37
 
 
 def load_runs(path):
@@ -273,6 +285,24 @@ def check_slo_gate(report_path, baseline_path):
     return failures
 
 
+def check_trace_gate(path):
+    """Enabled-trace overhead on BM_ThreadedCycle/2, within one run."""
+    runs = load_runs(path)
+    base = runs.get("BM_ThreadedCycle/2/real_time", {}).get("real_time")
+    traced = runs.get("BM_ThreadedCycleTraced/2/real_time",
+                      {}).get("real_time")
+    if not base or traced is None:
+        return ["trace-gate: BM_ThreadedCycle/2 or BM_ThreadedCycleTraced/2 "
+                "missing from %s" % path]
+    ratio = traced / base
+    print("trace-gate: traced %.1f vs untraced %.1f real time = %.3fx "
+          "(max %.2fx)" % (traced, base, ratio, TRACE_RATIO_MAX))
+    if ratio > TRACE_RATIO_MAX:
+        return ["trace-gate: enabled tracing makes BM_ThreadedCycle/2 %.3fx "
+                "slower, over the %.2fx bound" % (ratio, TRACE_RATIO_MAX)]
+    return []
+
+
 def check_throughput_ratio(cur_path, floor):
     """Batched vs unbatched cross-PE throughput, current run only."""
     cur = load_runs(cur_path)
@@ -325,6 +355,10 @@ def main():
     ap.add_argument("--handoff-ratio", type=float, default=0.10,
                     help="max average-delta / average-full size ratio for "
                          "--handoff-gate (default 0.10 = 10%%)")
+    ap.add_argument("--trace-gate", metavar="BENCH_JSON",
+                    help="bound BM_ThreadedCycleTraced/2 over "
+                         "BM_ThreadedCycle/2 real time in this "
+                         "BENCH_marking_scale.json by TRACE_RATIO_MAX")
     ap.add_argument("--slo-gate", metavar="REPORT_JSON",
                     help="gate the session-SLO contract on this dgr_soak "
                          "--report file from a faulted+audited soak run")
@@ -335,6 +369,8 @@ def main():
     args = ap.parse_args()
 
     failures = []
+    if args.trace_gate:
+        failures += check_trace_gate(args.trace_gate)
     if args.slo_gate:
         failures += check_slo_gate(args.slo_gate, args.slo_baseline)
     if args.handoff_gate:
@@ -345,9 +381,9 @@ def main():
                                            args.handoff_ratio)
 
     if args.current is None:
-        if not args.handoff_gate and not args.slo_gate:
-            print("--current is required unless --handoff-gate or --slo-gate "
-                  "is used", file=sys.stderr)
+        if not (args.handoff_gate or args.slo_gate or args.trace_gate):
+            print("--current is required unless --handoff-gate, --slo-gate "
+                  "or --trace-gate is used", file=sys.stderr)
             return 2
         if failures:
             print("\nFAIL:", file=sys.stderr)

@@ -280,13 +280,6 @@ int main(int argc, char** argv) {
       kill_cycle =
           std::max<std::uint64_t>(1, wopt.ticks / (2 * wopt.cycle_every));
   }
-#if !DGR_TRACE_ENABLED
-  if (jsonl_path) {
-    std::fprintf(stderr,
-                 "dgr_soak: tracing was compiled out (-DDGR_TRACE=OFF)\n");
-    return 2;
-  }
-#endif
 
   // Presize every store so allocation never reallocates slot vectors under
   // running PE threads; overflow shows up as admission rejection, not UB.
@@ -345,9 +338,7 @@ int main(int argc, char** argv) {
       thr->enable_audit(aopt);
     }
     thr->enable_watchdog();
-#if DGR_TRACE_ENABLED
     if (jsonl_path) thr->enable_trace();
-#endif
     thr->start();
   } else if (proc) {
     if (audit_period) {
@@ -355,14 +346,10 @@ int main(int argc, char** argv) {
       aopt.period = audit_period;
       proc->enable_audit(aopt);
     }
-#if DGR_TRACE_ENABLED
     if (jsonl_path) proc->enable_trace();
-#endif
     proc->start();
   } else {
-#if DGR_TRACE_ENABLED
     if (jsonl_path) sim->enable_trace();
-#endif
   }
 
   HealthEmitter health(stats_period, stats_jsonl_path);
@@ -437,7 +424,6 @@ int main(int argc, char** argv) {
     recoveries = ps.recoveries;
     workers_live = proc->workers_live();
   }
-#if DGR_TRACE_ENABLED
   if (jsonl_path) {
     std::vector<obs::TraceEvent> events = eng->trace()->snapshot();
     if (proc) {
@@ -450,7 +436,6 @@ int main(int argc, char** argv) {
     }
     write_file(jsonl_path, obs::to_jsonl(events));
   }
-#endif
   if (metrics_path)
     write_file(metrics_path, (proc ? proc->cluster_metrics_json()
                                    : reg.to_json()) +
