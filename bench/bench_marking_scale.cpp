@@ -140,41 +140,6 @@ void BM_ThreadedCycleTraced(benchmark::State& state) {
 BENCHMARK(BM_ThreadedCycleTraced)->Arg(2)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// The same cycle with batching disabled (one message, one mailbox lock):
-// the --no-batch control leg. Compare against BM_ThreadedCycle at the same
-// PE count to read the coalescing win at scale.
-void BM_ThreadedCycleNoBatch(benchmark::State& state) {
-  const auto pes = static_cast<std::uint32_t>(state.range(0));
-  Graph g = make_graph(pes, 1 << 15, 7);  // full-size: see BM_ThreadedCycle
-  NetOptions net;
-  net.reliable.batch_bytes = 0;
-  ThreadEngine eng(g, net);
-  eng.set_root(root_of(g));
-  eng.start();
-  CycleOptions copt;
-  copt.detect_deadlock = false;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (auto _ : state) {
-    eng.controller().start_cycle(copt);
-    eng.wait_cycle_done();
-  }
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  eng.stop();
-  // Same wall-clock, marked-vertex rate as BM_ThreadedCycle (see above).
-  state.counters["marks/s"] =
-      wall_s > 0.0
-          ? static_cast<double>(count_marked(g, eng.marker())) *
-                static_cast<double>(state.iterations()) / wall_s
-          : 0.0;
-  report_obs_counters(state, eng.metrics_registry());
-  state.counters["mailbox_high_water"] =
-      double(eng.stats().mailbox_high_water);
-}
-BENCHMARK(BM_ThreadedCycleNoBatch)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
 // The same cycle on ProcEngine: one dgr_worker process per PE (Unix-domain
 // socket), marks crossing the controller hub in kData batches. Worker launch,
 // registration and the first full handoff happen before the timed loop.

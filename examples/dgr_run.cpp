@@ -43,18 +43,16 @@
 //   --batch-bytes N  audit phase: coalesce outgoing messages per directed
 //                    PE pair into batches of up to N bytes, on the threaded
 //                    mailbox path and in the reliable channel's frames (the
-//                    workers' too) (default 4096; see docs/PERF.md)
+//                    workers' too) (default 4096; see docs/PERF.md). 0
+//                    sends each message as its own mailbox delivery or
+//                    reliable-channel frame (acks stay deferred or
+//                    piggybacked)
 //   --batch-us U     flush a partial batch once its oldest message is U
 //                    microseconds old (default 100)
-//   --no-batch       same as --batch-bytes 0: each message is its own
-//                    mailbox delivery, or its own reliable-channel frame
-//                    (acks stay deferred or piggybacked)
 //   --partition P    instance-vertex placement: scatter (default; each
 //                    template node round-robins across PEs), home (all on
 //                    the caller's PE), chunk/greedy (one PE per
 //                    instantiation — the streaming greedy partitioner)
-//   --steal          threaded audit phase: idle PEs steal half of the
-//   --no-steal       deepest peer mailbox instead of parking (default on)
 //   --workers N      run the audit phase on N real worker processes instead
 //                    of in-process threads: the controller stays here, forks
 //                    N dgr_worker processes, hands each its graph partition
@@ -81,7 +79,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -123,69 +120,6 @@ std::string read_all(const char* path) {
   ss << f.rdbuf();
   return ss.str();
 }
-
-// Live health rollup (--stats N / --stats-jsonl): samples registry totals
-// after each audit cycle and emits one line per N-cycle window. Pure
-// delta-of-totals sampling, so the same emitter serves the threaded and the
-// multi-process phases.
-class HealthEmitter {
- public:
-  HealthEmitter(std::uint32_t period, const char* jsonl_path)
-      : period_(period), last_(std::chrono::steady_clock::now()) {
-    if (jsonl_path) {
-      jsonl_.open(jsonl_path, std::ios::binary);
-      if (!jsonl_) {
-        std::fprintf(stderr, "dgr_run: cannot write '%s'\n", jsonl_path);
-        std::exit(2);
-      }
-    }
-  }
-
-  bool enabled() const { return period_ != 0; }
-
-  void on_cycle(const dgr::obs::MetricsRegistry& reg, std::uint64_t cycle,
-                std::uint32_t workers_live, std::uint32_t workers_total) {
-    using dgr::obs::Counter;
-    if (!enabled() || cycle % period_ != 0) return;
-    const auto now = std::chrono::steady_clock::now();
-    dgr::obs::HealthSnapshot s;
-    s.cycle = cycle;
-    s.cycles_window = period_;
-    s.window_ms =
-        std::chrono::duration<double, std::milli>(now - last_).count();
-    const std::uint64_t marks =
-        reg.total(Counter::kMarkTasks) + reg.total(Counter::kReturnTasks);
-    const std::uint64_t remote = reg.total(Counter::kRemoteMessages);
-    const std::uint64_t local = reg.total(Counter::kLocalMessages);
-    const std::uint64_t retx = reg.total(Counter::kMsgRetransmit);
-    s.marks = marks - prev_marks_;
-    s.remote_msgs = remote - prev_remote_;
-    s.local_msgs = local - prev_local_;
-    s.retransmits = retx - prev_retx_;
-    s.telemetry_dropped = reg.total(Counter::kTelemetryDropped);
-    // Mutator-stall rollup (cumulative): the reduction's own cooperative
-    // mutations sample Hist::kMutatorStallUs just like the workload driver.
-    const auto stall = reg.merged_hist(dgr::obs::Hist::kMutatorStallUs);
-    s.stall_ops = stall.count();
-    s.stall_p99_us = stall.count() ? stall.percentile(99.0) : 0.0;
-    s.workers_live = workers_live;
-    s.workers_total = workers_total;
-    prev_marks_ = marks;
-    prev_remote_ = remote;
-    prev_local_ = local;
-    prev_retx_ = retx;
-    last_ = now;
-    std::printf("# %s\n", dgr::obs::health_line(s).c_str());
-    if (jsonl_.is_open()) jsonl_ << dgr::obs::health_jsonl(s) << "\n";
-  }
-
- private:
-  std::uint32_t period_;
-  std::ofstream jsonl_;
-  std::chrono::steady_clock::time_point last_;
-  std::uint64_t prev_marks_ = 0, prev_remote_ = 0, prev_local_ = 0,
-                prev_retx_ = 0;
-};
 
 }  // namespace
 
@@ -269,8 +203,6 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--batch-us") && i + 1 < argc) {
       net.reliable.batch_flush_us =
           static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (!std::strcmp(argv[i], "--no-batch")) {
-      net.reliable.batch_bytes = 0;  // one message per delivery / frame
     } else if (!std::strcmp(argv[i], "--partition") && i + 1 < argc) {
       if (!parse_placement(argv[++i], &placement)) {
         std::fprintf(stderr,
@@ -279,10 +211,6 @@ int main(int argc, char** argv) {
                      argv[i]);
         return 2;
       }
-    } else if (!std::strcmp(argv[i], "--steal")) {
-      net.steal = true;
-    } else if (!std::strcmp(argv[i], "--no-steal")) {
-      net.steal = false;
     } else if (!std::strcmp(argv[i], "--workers") && i + 1 < argc) {
       workers = static_cast<std::uint32_t>(std::atoi(argv[++i]));
     } else if (!std::strcmp(argv[i], "--worker-bin") && i + 1 < argc) {
@@ -349,9 +277,8 @@ int main(int argc, char** argv) {
                  "[--audit-cycles K] [--health-fatal] [--fault-seed S] "
                  "[--fault-drop P] [--fault-dup P] [--fault-reorder P] "
                  "[--fault-trunc P] [--batch-bytes N] [--batch-us U] "
-                 "[--no-batch] [--partition P] [--steal|--no-steal] "
-                 "[--workers N] [--worker-bin PATH] [--transport uds|tcp] "
-                 "[--kill-worker W[@CYCLE]] <file|->\n");
+                 "[--partition P] [--workers N] [--worker-bin PATH] "
+                 "[--transport uds|tcp] [--kill-worker W[@CYCLE]] <file|->\n");
     return 2;
   }
 
@@ -467,8 +394,7 @@ int main(int argc, char** argv) {
     popt.workers = workers;
     popt.tcp = worker_tcp;
     if (worker_bin) popt.worker_bin = worker_bin;
-    popt.faults = net.faults;
-    popt.reliable = net.reliable;
+    popt.net = net;
     ProcEngine peng(graph, popt);
     peng.set_root(root);
     // Epoch hand-off, as in the threaded phase: the sim marker left
@@ -480,7 +406,7 @@ int main(int argc, char** argv) {
     peng.enable_audit(aopt);
     if (trace_path || jsonl_path) peng.enable_trace();
     peng.start();
-    HealthEmitter health(stats_period, stats_jsonl_path);
+    obs::HealthEmitter health("dgr_run", stats_period, stats_jsonl_path);
     for (std::uint32_t i = 0; i < audit_cycles && !peng.failed(); ++i) {
       // start_cycle (not controller().start_cycle): the engine wrapper
       // excludes a concurrent membership recovery from racing the cycle's
@@ -620,7 +546,7 @@ int main(int argc, char** argv) {
     teng.enable_watchdog();
     if (trace_path || jsonl_path) teng.enable_trace();
     teng.start();
-    HealthEmitter health(stats_period, stats_jsonl_path);
+    obs::HealthEmitter health("dgr_run", stats_period, stats_jsonl_path);
     for (std::uint32_t i = 0; i < audit_cycles; ++i) {
       teng.controller().start_cycle(CycleOptions{detect});
       teng.wait_cycle_done();

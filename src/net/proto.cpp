@@ -48,17 +48,17 @@ Bytes encode_worker_config(const WorkerConfig& c) {
   w.u32(c.num_pes);
   w.u32(c.pe_begin);
   w.u32(c.pe_count);
-  w.u64(c.fault_seed);
-  w.u64(d2u(c.faults.drop));
-  w.u64(d2u(c.faults.duplicate));
-  w.u64(d2u(c.faults.reorder));
-  w.u64(d2u(c.faults.truncate));
-  w.u32(c.faults.reorder_span);
-  w.u64(c.reliable.rto_initial_us);
-  w.u64(c.reliable.rto_max_us);
-  w.u32(c.reliable.max_retransmit_batch);
-  w.u32(c.reliable.batch_bytes);
-  w.u64(c.reliable.batch_flush_us);
+  w.u64(c.net.faults.seed);
+  w.u64(d2u(c.net.faults.spec.drop));
+  w.u64(d2u(c.net.faults.spec.duplicate));
+  w.u64(d2u(c.net.faults.spec.reorder));
+  w.u64(d2u(c.net.faults.spec.truncate));
+  w.u32(c.net.faults.spec.reorder_span);
+  w.u64(c.net.reliable.rto_initial_us);
+  w.u64(c.net.reliable.rto_max_us);
+  w.u32(c.net.reliable.max_retransmit_batch);
+  w.u32(c.net.reliable.batch_bytes);
+  w.u64(c.net.reliable.batch_flush_us);
   w.u8(c.trace_enabled ? 1 : 0);
   w.u32(c.trace_capacity);
   return w.take();
@@ -69,17 +69,17 @@ bool decode_worker_config(const Bytes& b, WorkerConfig& out) {
   out.num_pes = r.u32();
   out.pe_begin = r.u32();
   out.pe_count = r.u32();
-  out.fault_seed = r.u64();
-  out.faults.drop = u2d(r.u64());
-  out.faults.duplicate = u2d(r.u64());
-  out.faults.reorder = u2d(r.u64());
-  out.faults.truncate = u2d(r.u64());
-  out.faults.reorder_span = r.u32();
-  out.reliable.rto_initial_us = r.u64();
-  out.reliable.rto_max_us = r.u64();
-  out.reliable.max_retransmit_batch = r.u32();
-  out.reliable.batch_bytes = r.u32();
-  out.reliable.batch_flush_us = r.u64();
+  out.net.faults.seed = r.u64();
+  out.net.faults.spec.drop = u2d(r.u64());
+  out.net.faults.spec.duplicate = u2d(r.u64());
+  out.net.faults.spec.reorder = u2d(r.u64());
+  out.net.faults.spec.truncate = u2d(r.u64());
+  out.net.faults.spec.reorder_span = r.u32();
+  out.net.reliable.rto_initial_us = r.u64();
+  out.net.reliable.rto_max_us = r.u64();
+  out.net.reliable.max_retransmit_batch = r.u32();
+  out.net.reliable.batch_bytes = r.u32();
+  out.net.reliable.batch_flush_us = r.u64();
   out.trace_enabled = r.u8() != 0;
   out.trace_capacity = r.u32();
   return r.done();

@@ -20,7 +20,6 @@
 
 #include "core/marker.h"
 #include "graph/graph.h"
-#include "net/fault_plane.h"
 #include "net/reliable_channel.h"
 #include "net/wire.h"
 #include "obs/metrics.h"  // Counter/Hist index bounds (inline constants only)
@@ -47,10 +46,9 @@ struct WorkerConfig {
   std::uint32_t pe_begin = 0;  // contiguous owned PE block [pe_begin,
   std::uint32_t pe_count = 0;  //                            pe_begin+pe_count)
   // Worker<->worker message plane: a nonzero schedule runs the reliable
-  // channel over a fault plane seeded with fault_seed, worker side.
-  std::uint64_t fault_seed = 1;
-  FaultSpec faults;
-  ReliableOptions reliable;
+  // channel over a fault plane, worker side. ProcEngine gives each worker
+  // its own net.faults.seed.
+  NetOptions net;
   // Telemetry plane: capture a worker-side trace ring and ship it at every
   // quiesce (counters always ship).
   bool trace_enabled = false;

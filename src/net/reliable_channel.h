@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "graph/ids.h"
+#include "net/fault_plane.h"
 
 namespace dgr {
 
@@ -58,6 +59,15 @@ struct ReliableOptions {
   // Batching knobs (see header comment). 0 = one payload per frame.
   std::uint32_t batch_bytes = 4096;    // coalesce payloads per pair up to this
   std::uint64_t batch_flush_us = 100;  // age cap: pending batch / deferred ack
+};
+
+// The one message-plane configuration, held by every engine (ThreadEngine,
+// ProcEngine's workers via WorkerConfig) and by MessagePlane: a nonzero
+// fault schedule runs the reliable channel over a fault plane; the batching
+// knobs apply with or without it.
+struct NetOptions {
+  FaultPlaneOptions faults;
+  ReliableOptions reliable;
 };
 
 // One decoded frame. `src`/`dst` identify the *data direction* of the

@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <thread>
 
@@ -268,6 +269,52 @@ std::string health_jsonl(const HealthSnapshot& s) {
   append_u64(out, s.workers_total);
   out += '}';
   return out;
+}
+
+HealthEmitter::HealthEmitter(const char* tool, std::uint32_t period,
+                             const char* jsonl_path)
+    : period_(period), last_(std::chrono::steady_clock::now()) {
+  if (!jsonl_path) return;
+  jsonl_.open(jsonl_path, std::ios::binary);
+  if (!jsonl_) {
+    std::fprintf(stderr, "%s: cannot write '%s'\n", tool, jsonl_path);
+    std::exit(2);
+  }
+}
+
+void HealthEmitter::on_cycle(const MetricsRegistry& reg, std::uint64_t cycle,
+                             std::uint32_t workers_live,
+                             std::uint32_t workers_total) {
+  if (period_ == 0 || cycle % period_ != 0) return;
+  const auto now = std::chrono::steady_clock::now();
+  HealthSnapshot s;
+  s.cycle = cycle;
+  s.cycles_window = period_;
+  s.window_ms = std::chrono::duration<double, std::milli>(now - last_).count();
+  const std::uint64_t marks =
+      reg.total(Counter::kMarkTasks) + reg.total(Counter::kReturnTasks);
+  const std::uint64_t remote = reg.total(Counter::kRemoteMessages);
+  const std::uint64_t local = reg.total(Counter::kLocalMessages);
+  const std::uint64_t retx = reg.total(Counter::kMsgRetransmit);
+  s.marks = marks - prev_marks_;
+  s.remote_msgs = remote - prev_remote_;
+  s.local_msgs = local - prev_local_;
+  s.retransmits = retx - prev_retx_;
+  s.telemetry_dropped = reg.total(Counter::kTelemetryDropped);
+  // Mutator-stall rollup (cumulative): the reduction's own cooperative
+  // mutations sample Hist::kMutatorStallUs just like the workload driver.
+  const Histogram stall = reg.merged_hist(Hist::kMutatorStallUs);
+  s.stall_ops = stall.count();
+  s.stall_p99_us = stall.p99();
+  s.workers_live = workers_live;
+  s.workers_total = workers_total;
+  prev_marks_ = marks;
+  prev_remote_ = remote;
+  prev_local_ = local;
+  prev_retx_ = retx;
+  last_ = now;
+  std::printf("# %s\n", health_line(s).c_str());
+  if (jsonl_.is_open()) jsonl_ << health_jsonl(s) << "\n";
 }
 
 }  // namespace dgr::obs

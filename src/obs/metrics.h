@@ -11,7 +11,9 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -167,5 +169,27 @@ struct HealthSnapshot {
 std::string health_line(const HealthSnapshot& s);
 // One-object machine form (JSONL row).
 std::string health_jsonl(const HealthSnapshot& s);
+
+// The tools' live rollup (dgr_run / dgr_soak --stats N, --stats-jsonl):
+// samples registry totals after each cycle and, every `period` cycles,
+// prints one health_line to stdout ("# " prefix) and appends one
+// health_jsonl row to `jsonl_path` (null = none). Pure delta-of-totals
+// sampling, so it serves every engine. An unwritable `jsonl_path` exits the
+// process with status 2, naming `tool`.
+class HealthEmitter {
+ public:
+  HealthEmitter(const char* tool, std::uint32_t period,
+                const char* jsonl_path);
+
+  void on_cycle(const MetricsRegistry& reg, std::uint64_t cycle,
+                std::uint32_t workers_live, std::uint32_t workers_total);
+
+ private:
+  std::uint32_t period_;
+  std::ofstream jsonl_;
+  std::chrono::steady_clock::time_point last_;
+  std::uint64_t prev_marks_ = 0, prev_remote_ = 0, prev_local_ = 0,
+                prev_retx_ = 0;
+};
 
 }  // namespace dgr::obs

@@ -4,15 +4,14 @@
 
 namespace dgr {
 
-MessagePlane::MessagePlane(std::uint32_t num_pes,
-                           const FaultPlaneOptions& faults,
-                           const ReliableOptions& reliable,
+MessagePlane::MessagePlane(std::uint32_t num_pes, const NetOptions& net,
                            FaultPlane::DeliverFn deliver,
                            obs::MetricsRegistry& reg)
     : sink_(std::make_unique<Sink>(Sink{&reg})) {
-  if (!faults.spec.any()) return;
+  if (!net.faults.spec.any()) return;
   Sink* const sink = sink_.get();
-  fault_ = std::make_unique<FaultPlane>(num_pes, faults, std::move(deliver));
+  fault_ =
+      std::make_unique<FaultPlane>(num_pes, net.faults, std::move(deliver));
   fault_->set_inject_hook(
       [sink](FaultKind k, PeId src, PeId, std::size_t bytes) {
         static constexpr obs::Counter kFaultCounter[kNumFaultKinds] = {
@@ -28,7 +27,7 @@ MessagePlane::MessagePlane(std::uint32_t num_pes,
       });
   FaultPlane* const fault = fault_.get();
   chan_ = std::make_unique<ChannelManager>(
-      num_pes, reliable, [fault](PeId src, PeId dst, ChannelManager::Bytes f) {
+      num_pes, net.reliable, [fault](PeId src, PeId dst, ChannelManager::Bytes f) {
         fault->send(src, dst, std::move(f));
       });
   ChannelManager::Hooks hooks;
@@ -49,7 +48,7 @@ MessagePlane::MessagePlane(std::uint32_t num_pes,
   hooks.on_rtt = [sink](PeId src, double rtt_us) {
     sink->reg->observe(src, obs::Hist::kChannelRtt, rtt_us);
   };
-  hooks.on_batch_flush = [sink, cap = reliable.batch_bytes](
+  hooks.on_batch_flush = [sink, cap = net.reliable.batch_bytes](
                              PeId src, PeId, std::size_t payloads,
                              std::size_t frame_bytes) {
     note_batch_flush(*sink->reg, sink->trace, src, payloads, frame_bytes, cap);

@@ -2,7 +2,8 @@
 // ChannelManager, wired into an obs::MetricsRegistry and a trace ring.
 //
 // One rule on every engine: the stack exists exactly when the fault
-// schedule is nonzero (faults.spec.any()). Outgoing payloads then take
+// schedule is nonzero (net.faults.spec.any(); NetOptions lives in
+// net/reliable_channel.h). Outgoing payloads then take
 // channel → fault plane → `deliver`, and every received frame runs back
 // through the channel, which hands up an exactly-once in-order payload
 // stream. Without faults the plane is bare: each message is one encoded task
@@ -27,8 +28,9 @@
 namespace dgr {
 
 // A batch of `payloads` messages (`bytes` long) left `src`, under a size cap
-// of `cap` bytes (0 = unbatched): counters, fill histogram, trace event.
-// Shared by the channel's frames and ThreadEngine's fast-path batches.
+// of `cap` bytes: counters, fill histogram (skipped at cap 0, where every
+// batch holds one message), trace event. Shared by the channel's frames and
+// ThreadEngine's fast-path batches.
 inline void note_batch_flush(obs::MetricsRegistry& reg,
                              obs::TraceBuffer* trace, PeId src,
                              std::size_t payloads, std::size_t bytes,
@@ -46,11 +48,10 @@ inline void note_batch_flush(obs::MetricsRegistry& reg,
 
 class MessagePlane {
  public:
-  // Builds the fault plane + channel pair when faults.spec.any(), else
+  // Builds the fault plane + channel pair when net.faults.spec.any(), else
   // nothing. The hooks charge `reg`.
-  MessagePlane(std::uint32_t num_pes, const FaultPlaneOptions& faults,
-               const ReliableOptions& reliable, FaultPlane::DeliverFn deliver,
-               obs::MetricsRegistry& reg);
+  MessagePlane(std::uint32_t num_pes, const NetOptions& net,
+               FaultPlane::DeliverFn deliver, obs::MetricsRegistry& reg);
 
   // The ring the hooks emit into, read when each event fires (an engine may
   // enable tracing after its plane exists). Null = none.

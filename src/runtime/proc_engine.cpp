@@ -21,6 +21,12 @@ namespace {
 // Distinguishes concurrent ProcEngines in one test binary: each hub needs its
 // own Unix-domain socket path.
 std::atomic<std::uint32_t> g_hub_serial{0};
+// How long start() waits for every launched worker to register.
+constexpr int kRegisterTimeoutMs = 10000;
+// Every Nth handoff per worker is a full snapshot even when a delta would do
+// — bounds how long a silent divergence could go unnoticed between checksum
+// handshakes.
+constexpr std::uint64_t kFullHandoffPeriod = 64;
 }  // namespace
 
 ProcEngine::ProcEngine(Graph& g, ProcOptions opt)
@@ -84,9 +90,8 @@ WorkerConfig ProcEngine::make_config(std::uint32_t worker) const {
   c.num_pes = g_.num_pes();
   c.pe_begin = slots_[worker].pe_begin;
   c.pe_count = slots_[worker].pe_count;
-  c.fault_seed = opt_.faults.seed + worker;  // distinct chaos per worker
-  c.faults = opt_.faults.spec;
-  c.reliable = opt_.reliable;
+  c.net = opt_.net;
+  c.net.faults.seed += worker;  // distinct chaos per worker
   c.trace_enabled = worker_trace_;
   c.trace_capacity = trace_capacity_;
   return c;
@@ -149,7 +154,7 @@ void ProcEngine::start() {
   DGR_CHECK_MSG(up, "hub listen failed");
 
   for (std::uint32_t w = 0; w < num_workers_; ++w) spawn_worker(w);
-  DGR_CHECK_MSG(hub_.wait_workers(num_workers_, opt_.register_timeout_ms),
+  DGR_CHECK_MSG(hub_.wait_workers(num_workers_, kRegisterTimeoutMs),
                 "workers did not register in time");
 
   // First clock probes right after registration, while the wire is quiet —
@@ -158,8 +163,7 @@ void ProcEngine::start() {
   for (std::uint32_t w = 0; w < num_workers_; ++w) send_clock_probe(w);
 
   touch_progress();
-  if (opt_.barrier_timeout_ms > 0)
-    watchdog_ = std::thread([this] { watchdog_loop(); });
+  watchdog_ = std::thread([this] { watchdog_loop(); });
 }
 
 void ProcEngine::send_clock_probe(std::uint32_t worker) {
@@ -283,8 +287,7 @@ void ProcEngine::on_plane_begin(Plane p) {
   // the order handoff → begin → seed on every worker's wire.
   tracker_.scan(g_);
   ++handoff_count_;
-  const bool periodic = opt_.full_handoff_period != 0 &&
-                        handoff_count_ % opt_.full_handoff_period == 0;
+  const bool periodic = handoff_count_ % kFullHandoffPeriod == 0;
   std::vector<std::uint8_t> owned(g_.num_pes(), 0);
   for (std::uint32_t w = 0; w < num_workers_; ++w) {
     if (!slots_[w].alive) continue;

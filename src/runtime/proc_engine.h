@@ -52,21 +52,14 @@ struct ProcOptions {
   // Path to the dgr_worker binary; empty falls back to $DGR_WORKER_BIN,
   // then to "dgr_worker" on PATH.
   std::string worker_bin;
-  int register_timeout_ms = 10000;
-  // Every Nth handoff per worker is a full snapshot even when a delta would
-  // do — bounds how long a silent divergence could go unnoticed between
-  // checksum handshakes. 0 disables the periodic fallback.
-  std::uint32_t full_handoff_period = 64;
   // Quiesce-barrier watchdog: when a cycle makes no control-plane progress
   // for this long, silent workers are probed and — after one more window —
   // dropped (they surface as worker_lost instead of hanging the barrier).
-  // 0 disables the watchdog.
   int barrier_timeout_ms = 10000;
-  // Worker-side message plane (worker↔worker marks), the same pair
-  // NetOptions holds: the reliable channel runs exactly when the fault
-  // schedule is nonzero. Worker w seeds its schedule with faults.seed + w.
-  FaultPlaneOptions faults;
-  ReliableOptions reliable;
+  // Worker-side message plane (worker↔worker marks): the reliable channel
+  // runs exactly when the fault schedule is nonzero. Worker w seeds its
+  // schedule with net.faults.seed + w.
+  NetOptions net;
 };
 
 struct ProcEngineStats {

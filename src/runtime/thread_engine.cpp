@@ -14,6 +14,8 @@ thread_local int tl_pe = -1;  // PE id of the current thread, -1 = external
 
 // Receiver: messages taken per drain pass (and the cap on one steal).
 constexpr std::size_t kDrainMax = 64;
+// Idle-path stealing: the smallest peer backlog worth taking from.
+constexpr std::size_t kStealMin = 16;
 // Soft backpressure (see maybe_backpressure): the backlog that opens a
 // congestion episode, and the yields spent before disarming the pair.
 constexpr std::uint64_t kBackpressureLimit = 1 << 15;
@@ -54,7 +56,7 @@ ThreadEngine::ThreadEngine(Graph& g, NetOptions net)
       locks_(4096),
       reg_(g.num_pes()),
       t0_(std::chrono::steady_clock::now()),
-      plane_(g.num_pes(), net.faults, net.reliable,
+      plane_(g.num_pes(), net,
              [this](PeId, PeId dst, FaultPlane::Bytes msg) {
                mail_[dst]->deliver(std::move(msg));
              },
@@ -136,9 +138,9 @@ void ThreadEngine::spawn(Task t) {
   }
   // Fast path. Cross-PE spawns from a PE thread stage into the per-pair
   // batch; everything else (local spawns, external threads) delivers
-  // directly — staging rows are single-writer by construction.
-  if (net_.reliable.batch_bytes > 0 && tl_pe >= 0 &&
-      dst != static_cast<PeId>(tl_pe)) {
+  // directly — staging rows are single-writer by construction. A message at
+  // or over the cap (always, at batch_bytes == 0) flushes at once.
+  if (tl_pe >= 0 && dst != static_cast<PeId>(tl_pe)) {
     OutBatch& b = out_[src][dst];
     if (b.msgs.empty()) b.deadline_us = now_us() + net_.reliable.batch_flush_us;
     b.bytes += bytes.size();
@@ -179,7 +181,6 @@ void ThreadEngine::maybe_backpressure(PeId src, PeId dst) {
 
 bool ThreadEngine::admit_mark(Plane plane, VertexId child, std::uint8_t prior,
                               std::uint64_t epoch) {
-  if (!net_.boundary_summary) return true;
   // Only remote children spawned by a PE thread go through the summary:
   // local spawns are cheap, and external callers (root seed, tests) must
   // never be vetoed.
@@ -231,8 +232,8 @@ void ThreadEngine::flush_pair_fast(PeId src, PeId dst) {
 }
 
 void ThreadEngine::flush_outgoing(PeId pe, bool force) {
-  // Nothing is ever staged without batching or on the channel path.
-  if (net_.reliable.batch_bytes == 0 || plane_.channel()) return;
+  // Nothing is ever staged on the channel path.
+  if (plane_.channel()) return;
   std::uint64_t now = 0;
   bool now_set = false;
   for (PeId dst = 0; dst < g_.num_pes(); ++dst) {
@@ -298,7 +299,7 @@ void ThreadEngine::pe_loop(PeId pe) {
       // Balance the survivors: an idle PE takes half of the deepest peer
       // backlog instead of parking — on a congested pair this turns the
       // ping-pong idle time into useful marking work.
-      if (net_.steal && try_steal(pe, buf)) continue;
+      if (try_steal(pe, buf)) continue;
       // Nothing to run and nothing to steal: park on the mailbox condvar
       // (bounded, so pause/steal/timer polls still happen) rather than
       // yield-spinning. A polling idler on a shared core competes with the
@@ -334,11 +335,10 @@ bool ThreadEngine::try_steal(PeId pe, std::vector<Mailbox::Bytes>& buf) {
       victim = v;
     }
   }
-  if (deepest < net_.steal_min) return false;
+  if (deepest < kStealMin) return false;
   buf.clear();
-  const std::size_t want = std::min<std::size_t>(deepest / 2, kDrainMax);
   const std::size_t n =
-      mail_[victim]->drain(std::max<std::size_t>(want, 1), buf);
+      mail_[victim]->drain(std::min<std::size_t>(deepest / 2, kDrainMax), buf);
   if (n == 0) return false;
   reg_.add(pe, obs::Counter::kStealBatches);
   reg_.add(pe, obs::Counter::kStealTasks, n);

@@ -13,6 +13,37 @@
 // the MARK phase to be concurrent (§4: "we concentrate solely upon the mark
 // phase").
 //
+// Message plane (NetOptions, net/reliable_channel.h). Cross-PE messages
+// land in per-PE mailboxes. With a nonzero fault schedule every marking
+// message crosses the shared MessagePlane stack (runtime/message_plane.h):
+// the engine sees exactly-once in-order delivery while the wire drops,
+// duplicates, reorders and truncates under it. With no faults, messages go
+// straight to the destination mailbox.
+//
+// Batching: cross-PE spawns from a PE thread coalesce per directed PE pair
+// — on the fast path into per-pair staging rows flushed to the destination
+// mailbox as one deliver_batch, on the channel path into multi-payload
+// frames. Both read reliable.batch_bytes and reliable.batch_flush_us. A
+// batch flushes when it reaches batch_bytes, ages past batch_flush_us, or
+// its owning PE goes idle or parks; receivers drain up to kDrainMax messages
+// per loop pass under a single mailbox lock. batch_bytes == 0 flushes every
+// staged message at once (a batch of one) and puts each channel payload in
+// its own frame; the channel's acks stay deferred or piggybacked either way.
+//
+// Locality, always on:
+//   - Boundary summaries: per-(destination PE, plane) tables record the
+//     strongest mark priority already forwarded per remote vertex this
+//     epoch; duplicate remote child marks are suppressed at the sender
+//     (counted as boundary_dedup), so each remote vertex is requested at
+//     most once per wave and priority level instead of once per
+//     cross-partition edge.
+//   - Work stealing: a PE whose mailbox is empty drains up to half (capped
+//     at kDrainMax) of the deepest peer backlog, once that backlog reaches
+//     kStealMin, and executes the batch itself instead of parking. Sound
+//     because task execution is location-transparent here: vertex locks are
+//     global stripes, counters are per-executing-PE, and the channel/fault
+//     planes take their own locks.
+//
 // Scope: this engine drives marking workloads plus driver-based mutation
 // (the full reduction Machine runs on the deterministic SimEngine; see
 // DESIGN.md §2, substitution 1).
@@ -41,40 +72,6 @@ namespace dgr {
 
 // Sorted-order acquisition of per-vertex spinlocks; RAII release.
 class VertexLocks;
-
-// Message-plane configuration. Cross-PE messages land in per-PE mailboxes.
-// With a nonzero fault schedule every marking message crosses the shared
-// MessagePlane stack (runtime/message_plane.h): the engine sees exactly-once
-// in-order delivery while the wire drops, duplicates, reorders and truncates
-// under it. With no faults, messages go straight to the destination mailbox.
-//
-// Batching: cross-PE spawns coalesce per directed PE pair — on the fast path
-// into per-pair staging rows flushed to the destination mailbox as one
-// deliver_batch, on the channel path into multi-payload frames. Both read
-// the same two knobs, reliable.batch_bytes and reliable.batch_flush_us. A
-// batch flushes when it reaches batch_bytes, ages past batch_flush_us, or
-// its owning PE goes idle or parks; receivers drain up to kDrainMax messages
-// per loop pass under a single mailbox lock. batch_bytes == 0 (the
-// --no-batch leg) delivers each fast-path message on its own and puts each
-// channel payload in its own frame; the channel's acks stay deferred or
-// piggybacked either way.
-struct NetOptions {
-  FaultPlaneOptions faults;
-  ReliableOptions reliable;
-  // Boundary summaries: per-(destination PE, plane) tables recording the
-  // strongest mark priority already forwarded per remote vertex this epoch;
-  // duplicate remote child marks are suppressed at the sender (counted as
-  // boundary_dedup), so each remote vertex is requested at most once per
-  // wave and priority level instead of once per cross-partition edge.
-  bool boundary_summary = true;
-  // Work stealing: a PE whose mailbox is empty drains up to half (capped at
-  // kDrainMax) of the deepest peer backlog and executes the batch itself
-  // instead of parking. Sound because task execution is location-
-  // transparent here: vertex locks are global stripes, counters are per-
-  // executing-PE, and the channel/fault planes take their own locks.
-  bool steal = true;
-  std::uint64_t steal_min = 16;  // don't steal below this victim backlog
-};
 
 // The one engine figure the metrics registry does not hold; every counter
 // lives in metrics_registry().
@@ -136,9 +133,9 @@ class ThreadEngine final : public TaskSink, public EngineHooks {
 
   // ---- TaskSink (thread-safe) ----
   void spawn(Task t) override;
-  // Boundary-summary admission (see NetOptions::boundary_summary). Only
-  // remote children spawned from a PE thread consult the table; external
-  // callers and local children are always admitted.
+  // Boundary-summary admission (see the header comment). Only remote
+  // children spawned from a PE thread consult the table; external callers
+  // and local children are always admitted.
   bool admit_mark(Plane plane, VertexId child, std::uint8_t prior,
                   std::uint64_t epoch) override;
 

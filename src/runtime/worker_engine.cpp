@@ -65,11 +65,8 @@ void WorkerEngine::rebuild_owned_list() {
 }
 
 MessagePlane WorkerEngine::make_message_plane() {
-  FaultPlaneOptions faults;
-  faults.seed = cfg_.fault_seed;
-  faults.spec = cfg_.faults;
   MessagePlane plane(
-      cfg_.num_pes, faults, cfg_.reliable,
+      cfg_.num_pes, cfg_.net,
       [this](PeId, PeId dst, FaultPlane::Bytes msg) { stage(dst, msg); },
       reg_);
   plane.set_trace(trace_.get());

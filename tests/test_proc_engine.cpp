@@ -200,11 +200,11 @@ TEST(ProcEngine, FaultedWorkerChannelStillExact) {
   rp.seed = 21;
   ProcOptions popt;
   popt.workers = 2;
-  popt.faults.seed = 77;
-  popt.faults.spec.drop = 0.10;
-  popt.faults.spec.duplicate = 0.10;
-  popt.faults.spec.reorder = 0.20;
-  popt.reliable.rto_initial_us = 300;
+  popt.net.faults.seed = 77;
+  popt.net.faults.spec.drop = 0.10;
+  popt.net.faults.spec.duplicate = 0.10;
+  popt.net.faults.spec.reorder = 0.20;
+  popt.net.reliable.rto_initial_us = 300;
   ProcRig rig(rp, popt);
   rig.eng().controller().set_paranoid_sweep_check(true);
   for (int round = 0; round < 3; ++round) {
@@ -319,10 +319,10 @@ TEST(ProcBatching, ChannelPathUnderFaultsBatchesAndMatchesOracle) {
   // frame, each lost frame costs an RTO round of go-back-32 retransmits, and
   // the relayed-frame bound below fails at this drop rate.
   ProcOptions popt;
-  popt.faults.seed = 77;
-  popt.faults.spec.drop = 0.10;
-  popt.faults.spec.duplicate = 0.10;
-  popt.faults.spec.reorder = 0.20;
+  popt.net.faults.seed = 77;
+  popt.net.faults.spec.drop = 0.10;
+  popt.net.faults.spec.duplicate = 0.10;
+  popt.net.faults.spec.reorder = 0.20;
   check_batched_cycle(popt);
 }
 

@@ -467,10 +467,10 @@ TEST(ThreadEngineUnderFaults, AuditedCyclesStayClean) {
 TEST(MessagePlaneReceive, UndecodablePayloadIsCountedNotExecuted) {
   obs::MetricsRegistry reg(2);
   std::deque<std::pair<PeId, Bytes>> wire;
-  FaultPlaneOptions faults;
-  faults.spec.drop = 0.5;  // a nonzero schedule builds the channel stack...
+  NetOptions net;
+  net.faults.spec.drop = 0.5;  // a nonzero schedule builds the stack...
   MessagePlane plane(
-      2, faults, ReliableOptions{},
+      2, net,
       [&](PeId, PeId dst, Bytes f) { wire.emplace_back(dst, std::move(f)); },
       reg);
   ASSERT_NE(plane.channel(), nullptr);
@@ -494,8 +494,7 @@ TEST(MessagePlaneReceive, UndecodablePayloadIsCountedNotExecuted) {
 
   // The bare plane (no faults) takes the same path for the raw message.
   obs::MetricsRegistry bare_reg(2);
-  MessagePlane bare(2, FaultPlaneOptions{}, ReliableOptions{},
-                    [](PeId, PeId, Bytes) {}, bare_reg);
+  MessagePlane bare(2, NetOptions{}, [](PeId, PeId, Bytes) {}, bare_reg);
   ASSERT_EQ(bare.channel(), nullptr);
   const Bytes junk{1, 2, 3};
   EXPECT_EQ(bare.receive(1, 1, junk, now, exec), 1u);

@@ -202,15 +202,63 @@ TEST(TelemetryCodec, WorkerConfigCarriesTraceRequest) {
   c.num_pes = 8;
   c.pe_begin = 4;
   c.pe_count = 4;
-  c.fault_seed = 9;
-  c.faults.drop = 0.25;
+  c.net.faults.seed = 9;
+  c.net.faults.spec.drop = 0.25;
+  c.net.faults.spec.duplicate = 0.125;
+  c.net.faults.spec.reorder = 0.5;
+  c.net.faults.spec.truncate = 0.0625;
+  c.net.faults.spec.reorder_span = 7;
+  c.net.reliable.rto_initial_us = 250;
+  c.net.reliable.rto_max_us = 9000;
+  c.net.reliable.max_retransmit_batch = 5;
+  c.net.reliable.batch_bytes = 1024;
+  c.net.reliable.batch_flush_us = 33;
   c.trace_enabled = true;
   c.trace_capacity = 512;
+  // Wire format pin (kProtoVersion 3): these exact bytes, field by field,
+  // little-endian. A worker decodes the kRegisterAck that carries them, so
+  // any change here needs a protocol version bump.
+  const Bytes golden = {
+      // num_pes, pe_begin, pe_count
+      0x08, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+      // net.faults.seed
+      0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      // drop, duplicate, reorder, truncate (IEEE-754 bits)
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x3f, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0xc0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xb0, 0x3f,
+      // reorder_span
+      0x07, 0x00, 0x00, 0x00,
+      // rto_initial_us, rto_max_us
+      0xfa, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x28, 0x23, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00,
+      // max_retransmit_batch, batch_bytes
+      0x05, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00,
+      // batch_flush_us
+      0x21, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      // trace_enabled, trace_capacity
+      0x01, 0x00, 0x02, 0x00, 0x00,
+  };
+  EXPECT_EQ(encode_worker_config(c), golden);
+  RegisterAckMsg ack;
+  ack.worker_index = 1;
+  ack.num_workers = 2;
+  ack.config = c;
+  Bytes ack_golden = {0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+                      0x5d, 0x00, 0x00, 0x00};  // index, workers, length
+  ack_golden.insert(ack_golden.end(), golden.begin(), golden.end());
+  EXPECT_EQ(encode_register_ack(ack), ack_golden);
+  EXPECT_EQ(kProtoVersion, 3u);
+
   WorkerConfig d;
-  ASSERT_TRUE(decode_worker_config(encode_worker_config(c), d));
+  ASSERT_TRUE(decode_worker_config(golden, d));
   EXPECT_EQ(d.pe_begin, 4u);
-  EXPECT_EQ(d.fault_seed, 9u);
-  EXPECT_EQ(d.faults.drop, 0.25);
+  EXPECT_EQ(d.net.faults.seed, 9u);
+  EXPECT_EQ(d.net.faults.spec.drop, 0.25);
+  EXPECT_EQ(d.net.faults.spec.truncate, 0.0625);
+  EXPECT_EQ(d.net.faults.spec.reorder_span, 7u);
+  EXPECT_EQ(d.net.reliable.max_retransmit_batch, 5u);
+  EXPECT_EQ(d.net.reliable.batch_flush_us, 33u);
   EXPECT_TRUE(d.trace_enabled);
   EXPECT_EQ(d.trace_capacity, 512u);
   c.trace_enabled = false;

@@ -79,64 +79,6 @@ void write_file(const std::string& path, const std::string& data) {
   f << data;
 }
 
-// Per-cycle health rollup, dgr_run's emitter plus the mutator-stall columns.
-class HealthEmitter {
- public:
-  HealthEmitter(std::uint32_t period, const char* jsonl_path)
-      : period_(period), last_(std::chrono::steady_clock::now()) {
-    if (jsonl_path) {
-      jsonl_.open(jsonl_path, std::ios::binary);
-      if (!jsonl_) {
-        std::fprintf(stderr, "dgr_soak: cannot write '%s'\n", jsonl_path);
-        std::exit(2);
-      }
-    }
-  }
-
-  bool enabled() const { return period_ != 0; }
-
-  void on_cycle(const obs::MetricsRegistry& reg, std::uint64_t cycle,
-                std::uint32_t workers_live, std::uint32_t workers_total) {
-    using obs::Counter;
-    if (!enabled() || cycle % period_ != 0) return;
-    const auto now = std::chrono::steady_clock::now();
-    obs::HealthSnapshot s;
-    s.cycle = cycle;
-    s.cycles_window = period_;
-    s.window_ms =
-        std::chrono::duration<double, std::milli>(now - last_).count();
-    const std::uint64_t marks =
-        reg.total(Counter::kMarkTasks) + reg.total(Counter::kReturnTasks);
-    const std::uint64_t remote = reg.total(Counter::kRemoteMessages);
-    const std::uint64_t local = reg.total(Counter::kLocalMessages);
-    const std::uint64_t retx = reg.total(Counter::kMsgRetransmit);
-    s.marks = marks - prev_marks_;
-    s.remote_msgs = remote - prev_remote_;
-    s.local_msgs = local - prev_local_;
-    s.retransmits = retx - prev_retx_;
-    s.telemetry_dropped = reg.total(Counter::kTelemetryDropped);
-    const Histogram stall = reg.merged_hist(obs::Hist::kMutatorStallUs);
-    s.stall_ops = stall.count();
-    s.stall_p99_us = stall.p99();
-    s.workers_live = workers_live;
-    s.workers_total = workers_total;
-    prev_marks_ = marks;
-    prev_remote_ = remote;
-    prev_local_ = local;
-    prev_retx_ = retx;
-    last_ = now;
-    std::printf("# %s\n", obs::health_line(s).c_str());
-    if (jsonl_.is_open()) jsonl_ << obs::health_jsonl(s) << "\n";
-  }
-
- private:
-  std::uint32_t period_;
-  std::ofstream jsonl_;
-  std::chrono::steady_clock::time_point last_;
-  std::uint64_t prev_marks_ = 0, prev_remote_ = 0, prev_local_ = 0,
-                prev_retx_ = 0;
-};
-
 void append_kv(std::string& out, const char* k, double v, bool comma = true) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "\"%s\":%.6g%s", k, v, comma ? "," : "");
@@ -307,7 +249,7 @@ int main(int argc, char** argv) {
     case EngineKind::kProc: {
       ProcOptions popt;
       popt.workers = workers;
-      popt.faults = net.faults;
+      popt.net = net;
       proc = std::make_unique<ProcEngine>(graph, popt);
       eng = workload::make_driver(*proc);
       break;
@@ -352,7 +294,7 @@ int main(int argc, char** argv) {
     if (jsonl_path) sim->enable_trace();
   }
 
-  HealthEmitter health(stats_period, stats_jsonl_path);
+  obs::HealthEmitter health("dgr_soak", stats_period, stats_jsonl_path);
   bool killed = false;
   const auto on_cycle = [&](std::uint64_t cc) {
     if (proc && kill_worker != kAnyWorkerIndex && !killed &&
