@@ -79,15 +79,6 @@ class Marker {
   }
   std::uint64_t epoch(Plane plane) const { return st(plane).epoch; }
 
-  // Engine hand-off: start this marker's epochs at `e`, above any stale
-  // per-vertex tags a previous Marker left on the same graph (a fresh marker
-  // restarting at epoch 1 would otherwise mistake a cycle-1 tag from the old
-  // marker for current state). Only legal while the plane is inactive.
-  void seed_epoch(Plane plane, std::uint64_t e) {
-    DGR_CHECK_MSG(!st(plane).active, "seed_epoch during an active plane");
-    st(plane).epoch = e;
-  }
-
   // Invoked by the engine when the phase's done flag is raised.
   void set_done_callback(std::function<void(Plane)> cb) { done_cb_ = std::move(cb); }
 

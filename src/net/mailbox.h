@@ -36,7 +36,6 @@ class Mailbox {
   }
 
   std::optional<Bytes> try_receive() { return q_.try_pop(); }
-  std::optional<Bytes> receive() { return q_.pop(); }
 
   // Pop up to `max_n` pending messages under one queue lock, appending to
   // `out` in delivery order. Returns how many were taken.

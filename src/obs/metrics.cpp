@@ -52,8 +52,6 @@ const char* counter_name(Counter c) {
     case Counter::kEdgeCut: return "edge_cut";
     case Counter::kEdgesTotal: return "edges_total";
     case Counter::kHandoffBytes: return "handoff_bytes";
-    case Counter::kRelayedFrames: return "relayed_frames";
-    case Counter::kRelayedBytes: return "relayed_bytes";
     case Counter::kTelemetryMsgs: return "telemetry_msgs";
     case Counter::kTelemetryDropped: return "telemetry_dropped";
     case Counter::kWorkerLost: return "worker_lost";

@@ -50,12 +50,11 @@ enum class Counter : std::uint8_t {
   kStealTasks,         // tasks executed by a PE other than their owner
   kEdgeCut,            // arg edges whose endpoints live on different PEs
   kEdgesTotal,         // all arg edges (denominator for the cut fraction)
-  // Cluster plane (PR 8). Handoff/relay bytes are charged to the receiving
+  // Cluster plane. Handoff bytes are charged to the receiving
   // worker's first owned PE; telemetry accounting to the reporting worker's
-  // first owned PE.
+  // first owned PE. Relayed frames are counted by the controller's hub, per
+  // worker (ProcEngine::cluster_metrics_json).
   kHandoffBytes,       // partition-snapshot bytes shipped at plane begin
-  kRelayedFrames,      // worker→worker data frames relayed through the hub
-  kRelayedBytes,       // payload bytes of those relayed frames
   kTelemetryMsgs,      // kTelemetry payloads merged by the controller
   kTelemetryDropped,   // trace events lost before merge (ring + payload cap)
   // Dynamic membership + differential handoffs (docs/CLUSTER.md).
@@ -143,7 +142,7 @@ class MetricsRegistry {
   std::vector<Slot> slots_;
 };
 
-// ---- Live health rollup (dgr_run --stats N) ----
+// ---- Live health rollup (dgr_soak --stats N) ----
 //
 // A HealthSnapshot is one sampling window's worth of registry deltas plus
 // engine-side facts the registry doesn't know (cycle count, worker liveness).
@@ -170,7 +169,7 @@ std::string health_line(const HealthSnapshot& s);
 // One-object machine form (JSONL row).
 std::string health_jsonl(const HealthSnapshot& s);
 
-// The tools' live rollup (dgr_run / dgr_soak --stats N, --stats-jsonl):
+// dgr_soak's live rollup (--stats N, --stats-jsonl):
 // samples registry totals after each cycle and, every `period` cycles,
 // prints one health_line to stdout ("# " prefix) and appends one
 // health_jsonl row to `jsonl_path` (null = none). Pure delta-of-totals

@@ -8,8 +8,8 @@
 // but before restructuring consumes their marks. ThreadEngine gets there by
 // parking every PE thread; ProcEngine by merging every worker's kMarkReport
 // into the authoritative graph. Violations are counted, logged and handed
-// to the violation hook; they never abort (CI decides via
-// dgr_run --health-fatal or dgr_soak's exit code).
+// to the violation hook; they never abort (CI decides via dgr_soak's exit
+// code).
 #pragma once
 
 #include <cstdint>

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <thread>
 
 #include "graph/partitioner.h"
@@ -530,21 +531,27 @@ void ProcEngine::on_worker_lost(std::uint32_t worker) {
     failed_.store(true, std::memory_order_release);
     return;
   }
-  DGR_ERROR("worker %u lost (gen %u → %u); repartitioning %zu PEs onto %u "
-            "survivors",
-            worker, (unsigned)gen_, (unsigned)(gen_ + 1), s.pes.size(), live);
   DGR_TRACE_EVENT(trace_.get(), obs::EventType::kWorkerLost, Plane::kR, home,
                   worker, gen_ + 1);
-  repartition_onto_survivors();
+  const std::vector<PeId> moved = repartition_onto_survivors();
+  std::string names;
+  for (PeId pe : moved) {
+    if (!names.empty()) names += ',';
+    names += std::to_string(pe);
+  }
+  DGR_ERROR("worker %u lost (gen %u → %u); PEs {%s} reassigned onto %u "
+            "survivors",
+            worker, (unsigned)gen_, (unsigned)(gen_ + 1), names.c_str(), live);
   fence_and_restart();
 }
 
-void ProcEngine::repartition_onto_survivors() {
+std::vector<PeId> ProcEngine::repartition_onto_survivors() {
   // Caller holds mu_. Reassign ALL PEs across the survivors with the same
   // pluggable partitioner the workload builders use, in PE space: each PE is
   // a "position", each surviving worker a "bin", and cross-PE args supply
   // the adjacency (duplicates act as edge weights — the greedy placer sees
-  // hot PE pairs more often and co-locates them).
+  // hot PE pairs more often and co-locates them). Returns the PEs whose
+  // owner changed.
   std::vector<std::uint32_t> survivors;
   for (std::uint32_t w = 0; w < num_workers_; ++w)
     if (slots_[w].alive) survivors.push_back(w);
@@ -559,24 +566,42 @@ void ProcEngine::repartition_onto_survivors() {
   const auto part = make_partitioner(PartitionStrategy::kGreedy);
   const auto bins = static_cast<std::uint32_t>(survivors.size());
   const std::uint32_t cap = (P + bins - 1) / bins;
-  const std::vector<PeId> asg = part->assign(P, bins, edges, cap);
+  std::vector<PeId> asg = part->assign(P, bins, edges, cap);
 
   std::vector<std::uint32_t> prev_owner(P, kAnyWorkerIndex);
   for (std::uint32_t w = 0; w < num_workers_; ++w)
     for (PeId pe : slots_[w].pes) prev_owner[pe] = w;
+  // The greedy placer co-locates heavily connected PEs and may leave a bin
+  // empty. A survivor must not sit idle while PEs remain to share: give each
+  // empty bin the first PE of the fullest bin.
+  if (P >= bins) {
+    std::vector<std::uint32_t> load(bins, 0);
+    for (PeId pe = 0; pe < P; ++pe) ++load[asg[pe]];
+    for (std::uint32_t b = 0; b < bins; ++b) {
+      if (load[b] != 0) continue;
+      const auto donor = static_cast<std::uint32_t>(
+          std::max_element(load.begin(), load.end()) - load.begin());
+      const auto pick = static_cast<PeId>(
+          std::find(asg.begin(), asg.end(), donor) - asg.begin());
+      asg[pick] = b;
+      --load[donor];
+      ++load[b];
+    }
+  }
   for (std::uint32_t w = 0; w < num_workers_; ++w) slots_[w].pes.clear();
-  std::uint64_t moved = 0;
+  std::vector<PeId> moved;
   for (PeId pe = 0; pe < P; ++pe) {
     const std::uint32_t w = survivors[asg[pe]];
     slots_[w].pes.push_back(pe);
     hub_.set_endpoint_owner(pe, w);
-    if (prev_owner[pe] != w) ++moved;
+    if (prev_owner[pe] != w) moved.push_back(pe);
   }
-  stats_.partitions_reassigned += moved;
+  stats_.partitions_reassigned += moved.size();
   metrics_.add(home_pe(survivors[0]), obs::Counter::kPartitionReassigned,
-               moved);
+               moved.size());
   DGR_TRACE_EVENT(trace_.get(), obs::EventType::kPartitionReassign, Plane::kR,
-                  0, moved, survivors.size());
+                  0, moved.size(), survivors.size());
+  return moved;
 }
 
 void ProcEngine::fence_and_restart() {

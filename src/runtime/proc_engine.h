@@ -207,7 +207,7 @@ class ProcEngine final : public TaskSink, public EngineHooks {
   // connection's hub reader thread; fence_and_restart is shared with the
   // checksum-resync path (which skips the repartition).
   void on_worker_lost(std::uint32_t worker);
-  void repartition_onto_survivors();
+  std::vector<PeId> repartition_onto_survivors();
   void fence_and_restart();
   std::uint32_t live_count_locked() const;
   PeId home_pe(std::uint32_t worker) const {

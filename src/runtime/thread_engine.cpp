@@ -473,10 +473,25 @@ void ThreadEngine::watchdog_loop() {
   std::uint64_t last_progress = 0;
   std::uint32_t stalled = 0;
   bool stall_reported = false;
-  auto total_rescues = [this] {
-    return marker_->rescue_waves(Plane::kR) + marker_->rescue_waves(Plane::kT);
+  // Marker::rescue_waves counts one run of a plane and restarts at 0 when
+  // the plane begins again, so the per-cycle base is kept per plane and
+  // dropped once that plane's count goes backwards.
+  std::uint64_t rescue_base[2] = {};
+  const auto cycle_rescues = [&] {
+    std::uint64_t waves = 0;
+    for (const Plane p : {Plane::kR, Plane::kT}) {
+      const std::uint64_t n = marker_->rescue_waves(p);
+      std::uint64_t& base = rescue_base[static_cast<int>(p)];
+      if (n < base) base = 0;
+      waves += n - base;
+    }
+    return waves;
   };
-  std::uint64_t cycle_base_rescues = total_rescues();
+  const auto rebase_rescues = [&] {
+    for (const Plane p : {Plane::kR, Plane::kT})
+      rescue_base[static_cast<int>(p)] = marker_->rescue_waves(p);
+  };
+  rebase_rescues();
   std::uint64_t last_cycle = controller_->cycles_completed();
   bool rescue_reported = false;
   std::vector<bool> mailbox_reported(g_.num_pes(), false);
@@ -500,14 +515,14 @@ void ThreadEngine::watchdog_loop() {
     const std::uint64_t cyc = controller_->cycles_completed();
     if (cyc != last_cycle) {
       last_cycle = cyc;
-      cycle_base_rescues = total_rescues();
+      rebase_rescues();
       rescue_reported = false;
       stalled = 0;
       stall_reported = false;
     }
     // Rescue storm: the supplementary-wave loop is churning, which means
     // mutators acquire references faster than waves can absorb them.
-    const std::uint64_t waves = total_rescues() - cycle_base_rescues;
+    const std::uint64_t waves = cycle_rescues();
     if (waves >= wd_opt_.rescue_storm && !rescue_reported) {
       rescue_reported = true;
       warn(obs::HealthKind::kRescueStorm, 0, waves);
@@ -523,7 +538,8 @@ void ThreadEngine::watchdog_loop() {
     }
     const std::uint64_t progress = reg_.total(obs::Counter::kMarkTasks) +
                                    reg_.total(obs::Counter::kReturnTasks) +
-                                   total_rescues();
+                                   marker_->rescue_waves(Plane::kR) +
+                                   marker_->rescue_waves(Plane::kT);
     if (progress != last_progress) {
       last_progress = progress;
       stalled = 0;

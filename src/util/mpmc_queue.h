@@ -113,11 +113,6 @@ class MpmcQueue {
     cv_.notify_all();
   }
 
-  bool closed() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return closed_;
-  }
-
   // Lock-free depth gauge, maintained by every push/pop under the lock.
   // Hot-path readers (backpressure probes, steal scans) poll peers' depths
   // constantly; taking the queue mutex for each probe would contend with

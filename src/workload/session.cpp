@@ -345,6 +345,14 @@ void SessionDriver::close_root(VertexId r) {
   push_roots();
 }
 
+std::size_t SessionDriver::cross_pe_root_edges() const {
+  if (anchors_.size() + adopted_.size() < 2) return 0;  // no union root
+  std::size_t n = 0;
+  for (VertexId r : anchors_) n += r.pe != 0;
+  for (VertexId r : adopted_) n += r.pe != 0;
+  return n;
+}
+
 void SessionDriver::timed_mutate(PeId pe, std::span<const VertexId> vs,
                                  const DriverEngine::MutateFn& fn) {
   // Attribute the stall to the collector phase at submission: idle (no
@@ -411,16 +419,19 @@ void SessionDriver::open_session(const SessionEvent& ev) {
       roots_seen.push_back(VertexId::invalid());
       return;
     }
-    // Fig 4-2: shade the fresh subgraph per the anchor's color, then attach
-    // its entry through the cooperating add.
+    // Fig 4-2: shade the fresh subgraph per the anchor's color.
     m.expand_node(anchor, fresh);
-    const VertexId chain[1] = {anchor};
-    m.add_reference_via(anchor, chain, root, ReqKind::kVital);
-    // Leaf touches the shared hot key last, via the acquired-reference path:
+    // The leaf touches the shared hot key via the acquired-reference path:
     // hotv hangs under a *different* PE's anchor, so this session's chain
     // holds no transient helper for it — when the leaf is already marked the
     // cooperation must queue a rescue rather than splice (cooperation.cpp).
+    // This is the last write to a fresh vertex, and it comes before the
+    // attach: only {anchor, hotv} are locked, so once the entry is wired a
+    // PE thread may be marking the fresh subgraph.
     m.acquire_reference(prev[0], hotv, ReqKind::kNone);
+    // Attach the entry through the cooperating add.
+    const VertexId chain[1] = {anchor};
+    m.add_reference_via(anchor, chain, root, ReqKind::kVital);
     roots_seen.push_back(root);
   });
 
@@ -562,9 +573,28 @@ void SessionDriver::run(const std::vector<SessionEvent>& schedule,
 
   if (eng_.concurrency() == Concurrency::kOverlapped) {
     // Keep a cycle in flight continuously: mutations overlap the marking
-    // wave, which is where cooperation (and mutator stall) happens.
+    // wave, which is where cooperation (and mutator stall) happens. Ticks
+    // are not paced in wall time, so on a fast engine the whole schedule can
+    // fit inside the cycle that began before the first session opened, and
+    // no cycle would trace a session. Hence the hold at the arrival horizon:
+    // unless a cycle started with sessions live has completed by then,
+    // finish the cycle in flight and run one over the sessions still open.
+    const std::uint32_t hold_tick = std::min(opt_.ticks, last_tick);
+    std::uint64_t covered_at = UINT64_MAX;  // cycles_completed() once covered
     for (std::uint32_t t = 0; t <= last_tick; ++t) {
-      if (ctl.idle()) eng_.start_cycle(copt);
+      if (t == hold_tick && !sessions_.empty() &&
+          ctl.cycles_completed() < covered_at) {
+        eng_.wait_cycle_done();
+        tick_cycles();
+        eng_.start_cycle(copt);
+        eng_.wait_cycle_done();
+        tick_cycles();
+      }
+      if (ctl.idle()) {
+        if (!sessions_.empty())
+          covered_at = std::min(covered_at, ctl.cycles_completed() + 1);
+        eng_.start_cycle(copt);
+      }
       apply_tick(schedule, t);
       eng_.pump(opt_.sim_steps_per_tick);
       tick_cycles();

@@ -248,6 +248,11 @@ class SessionDriver {
   void close_root(VertexId r);  // r leaves it; its region becomes garbage
 
   std::size_t live_sessions() const { return sessions_.size(); }
+  // Edges of the standing root set that cross a PE: the controller's union
+  // root (an aux vertex on PE 0) holds one edge to each root, so every root
+  // off PE 0 costs a remote mark and its return per M_R wave whatever the
+  // sessions do. Coverage checks discount that traffic.
+  std::size_t cross_pe_root_edges() const;
   const SoakTotals& totals() const { return totals_; }
   const std::vector<VertexId>& anchors() const { return anchors_; }
   const std::vector<VertexId>& hot_keys() const { return hot_; }

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -227,6 +228,55 @@ TEST(Membership, BarrierWatchdogDropsStoppedWorker) {
   // Reap: stop() SIGKILLs stragglers, and SIGKILL works on stopped processes.
 }
 
+// ---- Recovery placement: every survivor keeps at least one PE. ----
+//
+// The greedy placer co-locates PEs that share edges. When every PE pair
+// shares edges, 4 PEs over 3 survivors (cap 2) fill two bins and would
+// leave the third survivor owning nothing. Recovery must not idle it.
+
+TEST(Membership, RecoveryLeavesNoSurvivorIdle) {
+  RigParams rp;
+  rp.seed = 23;
+  ProcOptions popt;
+  popt.workers = 4;
+  Rig rig(rp, popt);
+  std::size_t cross = 0;
+  rig.g().for_each_live([&](VertexId v) {
+    for (const ArgEdge& e : rig.g().at(v).args)
+      if (e.to.valid() && e.to.pe != v.pe) ++cross;
+  });
+  ASSERT_GT(cross, 0u) << "the rig graph must mark across PEs";
+  rig.cycle_checked(/*detect_deadlock=*/false, 0);
+  if (::testing::Test::HasFatalFailure()) return;
+
+  const long pid = rig.eng().worker_pid(1);
+  ASSERT_GT(pid, 0);
+  ASSERT_EQ(::kill(static_cast<pid_t>(pid), SIGKILL), 0);
+  rig.wait_worker_dead(1);
+  if (::testing::Test::HasFatalFailure()) return;
+
+  // Per-worker rows of the cluster rollup: "pe_count":N,"alive":true|false.
+  const std::string full = rig.eng().cluster_metrics_json();
+  const std::string json = full.substr(full.find("\"workers\":["));
+  std::uint32_t live_rows = 0;
+  for (std::size_t at = json.find("\"pe_count\":"); at != std::string::npos;
+       at = json.find("\"pe_count\":", at + 1)) {
+    const unsigned long pes = std::strtoul(json.c_str() + at + 11, nullptr, 10);
+    const std::size_t alive = json.find("\"alive\":", at);
+    ASSERT_NE(alive, std::string::npos) << json;
+    if (json.compare(alive + 8, 4, "true") != 0) continue;
+    ++live_rows;
+    EXPECT_GE(pes, 1u) << "a live worker owns no PE: " << json;
+  }
+  EXPECT_EQ(live_rows, 3u) << json;
+  EXPECT_GT(rig.eng().stats().partitions_reassigned, 0u);
+
+  rig.cycle_checked(true, 1);
+  if (::testing::Test::HasFatalFailure()) return;
+  rig.churn(6);
+  rig.cycle_checked(false, 2);
+}
+
 // ---- Differential handoffs: stable graph => header-sized deltas. ----
 
 TEST(Membership, DeltaHandoffsShrinkOnStableGraph) {
@@ -250,7 +300,10 @@ TEST(Membership, DeltaHandoffsShrinkOnStableGraph) {
       static_cast<double>(s.handoff_delta_bytes) / s.handoffs_delta;
   EXPECT_LT(per_delta, 0.10 * per_full)
       << "avg delta " << per_delta << " B vs avg full " << per_full << " B";
+  EXPECT_LT(s.handoff_delta_bytes, s.handoff_full_bytes)
+      << "delta total at this fixed run length must stay under full total";
   EXPECT_EQ(s.handoff_resyncs, 0u);  // checksums agreed throughout
+  EXPECT_EQ(s.workers_lost, 0u);
   // And the accounting partitions exactly.
   EXPECT_EQ(s.handoff_bytes, s.handoff_full_bytes + s.handoff_delta_bytes);
   EXPECT_EQ(s.handoffs_sent, s.handoffs_full + s.handoffs_delta);

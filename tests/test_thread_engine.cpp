@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -552,6 +554,59 @@ TEST(ThreadEngine, WatchdogRescueStormThresholdFires) {
   EXPECT_LE(hr.warnings[static_cast<std::size_t>(obs::HealthKind::kRescueStorm)],
             2u);
   EXPECT_EQ(eng.audit_stats().audits, 0u);  // auditing was never enabled
+}
+
+TEST(ThreadEngine, WatchdogRescueCountRestartsWithThePlane) {
+  // Marker::rescue_waves restarts at 0 whenever a plane begins. A cycle with
+  // rescue waves, then a cycle without any, must not read as a storm: the
+  // count going backwards is a new plane run, not 2^64 waves.
+  Graph g = make_presized(2, 600);
+  RandomGraphOptions opt;
+  opt.num_vertices = 300;
+  opt.seed = 9;
+  const BuiltGraph b = build_random_graph(g, opt);
+  const VertexId orphan = g.alloc(1, OpCode::kData);
+  ThreadEngine eng(g);
+  eng.set_root(b.root);
+  WatchdogOptions wopt;
+  wopt.interval_ms = 1;
+  eng.enable_watchdog(wopt);
+  eng.start();
+
+  // Hold the root's stripe so the M_R wave waits at the root while the
+  // cycle runs; `queue` runs inside the held cycle.
+  const auto held_cycle = [&](const std::function<void()>& queue) {
+    std::atomic<bool> holding{false}, release{false};
+    std::thread holder([&] {
+      eng.atomically({b.root}, [&] {
+        holding = true;
+        while (!release) std::this_thread::yield();
+      });
+    });
+    while (!holding) std::this_thread::yield();
+    CycleOptions copt;
+    copt.detect_deadlock = false;
+    eng.controller().start_cycle(copt);
+    queue();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    release = true;
+    holder.join();
+    eng.wait_cycle_done();
+  };
+  held_cycle([&] {
+    eng.atomically(std::span<const VertexId>(),
+                   [&] { eng.marker().rescue(Plane::kR, orphan); });
+  });
+  ASSERT_GE(eng.marker().rescue_waves(Plane::kR), 1u);
+  // Let the watchdog see the finished cycle (and its nonzero count).
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  held_cycle([] {});
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  eng.stop();
+  EXPECT_EQ(eng.marker().rescue_waves(Plane::kR), 0u);
+  EXPECT_EQ(eng.health().warnings[static_cast<std::size_t>(
+                obs::HealthKind::kRescueStorm)],
+            0u);
 }
 
 }  // namespace

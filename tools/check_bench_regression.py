@@ -13,17 +13,6 @@ runner — moves every ratio equally and trips nothing; a single benchmark
 whose ratio stands out against its siblings is a real regression in that
 code path.
 
---handoff-gate METRICS.json gates the differential-handoff contract on a
-stable-graph proc-smoke run (no cross-machine comparison): total
-handoff_delta_bytes must stay below total handoff_full_bytes, the average
-delta frame must be under --handoff-ratio (default 0.10) of the average full
-snapshot, and the run must record zero checksum resyncs and zero lost
-workers — a resync on a healthy run means the delta apply diverged. The
-committed reference record (bench/baselines/HANDOFF_proc_smoke.json, written
-by a quiet-machine run of the same dgr_run invocation) is checked against
-the same contract when --handoff-baseline names it, so a baseline refresh
-that regresses the encoding cannot land.
-
 --slo-gate REPORT.json gates the session-workload SLO contract on a live
 dgr_soak report (see check_slo_gate): hard §5.4.1/telemetry invariants plus
 the absolute sessions/s floor and mutator-stall p99 ceiling recorded in the
@@ -158,64 +147,6 @@ def check_scaling_gate(path, label):
     return failures
 
 
-def check_handoff_gate(path, label, max_ratio):
-    """Differential-handoff contract over one proc-smoke metrics JSON.
-
-    Accepts either a full dgr_run --metrics file (handoff counts under
-    "membership", byte totals under "totals") or the trimmed baseline record
-    (the same four keys at top level).
-    """
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, ValueError) as e:
-        return ["handoff-gate(%s): cannot read %s: %s" % (label, path, e)]
-    mem = doc.get("membership", doc)
-    totals = doc.get("totals", doc)
-    try:
-        n_full = mem["handoffs_full"]
-        n_delta = mem["handoffs_delta"]
-        full_b = totals["handoff_full_bytes"]
-        delta_b = totals["handoff_delta_bytes"]
-    except KeyError as e:
-        return ["handoff-gate(%s): %s missing key %s" % (label, path, e)]
-
-    failures = []
-    if n_full == 0 or n_delta == 0:
-        return ["handoff-gate(%s): run recorded %d full / %d delta handoffs; "
-                "both kinds must occur for the gate to mean anything" %
-                (label, n_full, n_delta)]
-    per_full = full_b / n_full
-    per_delta = delta_b / n_delta
-    ratio = per_delta / per_full if per_full else float("inf")
-    print("handoff-gate(%s): %d full (%d B, %.0f B avg), %d delta "
-          "(%d B, %.1f B avg), per-plane ratio %.3f (max %.2f)" %
-          (label, n_full, full_b, per_full, n_delta, delta_b, per_delta,
-           ratio, max_ratio))
-    if delta_b >= full_b:
-        failures.append(
-            "handoff-gate(%s): total delta bytes %d >= total full bytes %d "
-            "on a stable-graph run — deltas are not paying for themselves" %
-            (label, delta_b, full_b))
-    if ratio >= max_ratio:
-        failures.append(
-            "handoff-gate(%s): average delta frame is %.1f%% of the average "
-            "full snapshot (limit %.0f%%)" %
-            (label, ratio * 100.0, max_ratio * 100.0))
-    # These only exist in the full metrics file; the trimmed baseline omits
-    # them (a baseline is only ever cut from a clean run).
-    resyncs = mem.get("handoff_resyncs", 0)
-    lost = mem.get("worker_lost", 0)
-    if resyncs:
-        failures.append("handoff-gate(%s): %d checksum resyncs on a healthy "
-                        "run — the delta apply diverged from the controller" %
-                        (label, resyncs))
-    if lost:
-        failures.append("handoff-gate(%s): %d workers lost during the "
-                        "stable-graph run" % (label, lost))
-    return failures
-
-
 def check_slo_gate(report_path, baseline_path):
     """Session-SLO contract over one dgr_soak --report JSON.
 
@@ -330,7 +261,8 @@ def main():
                     help="directory of committed BENCH_*.json baselines")
     ap.add_argument("--current",
                     help="directory of freshly produced BENCH_*.json files "
-                         "(required unless only --handoff-gate is used)")
+                         "(required unless only --slo-gate or --trace-gate "
+                         "is used)")
     ap.add_argument("--max-regress", type=float, default=0.25,
                     help="max tolerated per-benchmark slowdown relative to "
                          "the median machine factor (default 0.25 = 25%%)")
@@ -345,16 +277,6 @@ def main():
                     help="additionally enforce the scaling gate on the "
                          "current run (off by default: smoke timings on a "
                          "loaded CI runner are too noisy to gate on)")
-    ap.add_argument("--handoff-gate", metavar="METRICS_JSON",
-                    help="gate the differential-handoff contract on this "
-                         "dgr_run --metrics file from a stable-graph run")
-    ap.add_argument("--handoff-baseline", metavar="JSON",
-                    help="committed handoff reference record; checked "
-                         "against the same contract so a refresh cannot "
-                         "regress the encoding")
-    ap.add_argument("--handoff-ratio", type=float, default=0.10,
-                    help="max average-delta / average-full size ratio for "
-                         "--handoff-gate (default 0.10 = 10%%)")
     ap.add_argument("--trace-gate", metavar="BENCH_JSON",
                     help="bound BM_ThreadedCycleTraced/2 over "
                          "BM_ThreadedCycle/2 real time in this "
@@ -373,17 +295,11 @@ def main():
         failures += check_trace_gate(args.trace_gate)
     if args.slo_gate:
         failures += check_slo_gate(args.slo_gate, args.slo_baseline)
-    if args.handoff_gate:
-        failures += check_handoff_gate(args.handoff_gate, "current",
-                                       args.handoff_ratio)
-        if args.handoff_baseline:
-            failures += check_handoff_gate(args.handoff_baseline, "baseline",
-                                           args.handoff_ratio)
 
     if args.current is None:
-        if not (args.handoff_gate or args.slo_gate or args.trace_gate):
-            print("--current is required unless --handoff-gate, --slo-gate "
-                  "or --trace-gate is used", file=sys.stderr)
+        if not (args.slo_gate or args.trace_gate):
+            print("--current is required unless --slo-gate or --trace-gate "
+                  "is used", file=sys.stderr)
             return 2
         if failures:
             print("\nFAIL:", file=sys.stderr)

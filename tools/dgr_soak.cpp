@@ -7,7 +7,8 @@
 // with the fault adversary and safe-point audits live, then emits a JSON SLO
 // report (sessions/s, mutator-stall percentiles, per-phase stall
 // attribution) and exits nonzero on any invariant, audit, divergence,
-// telemetry-loss or leak failure.
+// telemetry-loss or leak failure, or when the run never reached what it
+// claims to test (the coverage floor below).
 //
 //   $ ./dgr_soak --seed 1 --duration 600 --faults --audit 4
 //   $ ./dgr_soak --engine proc --workers 2 --ticks 64 --report slo.json
@@ -38,14 +39,23 @@
 //   --detect-deadlock  run M_T each cycle
 //   --stats N        print a health line every N completed cycles
 //   --stats-jsonl F  append health lines as JSONL
+//   --trace F        write a Chrome trace_event file (proc: one timeline
+//                    merging the controller and every worker)
 //   --trace-jsonl F  write the trace as JSONL (proc: merged cluster stream)
 //   --metrics F      write the metrics registry JSON (proc: cluster form)
 //   --report F       write the SLO report JSON (default: stdout)
 //   --health-fatal   exit nonzero on watchdog health warnings too
 //
+// Coverage floor (always on): a run fails when a fault kind has a nonzero
+// probability but was never injected, when a threaded run on >= 2 PEs sent
+// no remote message beyond the root fan-out, or when a proc run on >= 2
+// workers relayed no frame through the hub — a gate that never reaches its
+// subject shows nothing.
+//
 // Exit codes: 0 ok; 1 SLO invariant failed (audit violation, replica
-// divergence, telemetry drop, leaked slots, lingering sessions); 2 usage;
-// 5 every worker died; 6 --kill-worker did not register loss + recovery.
+// divergence, telemetry drop, leaked slots, lingering sessions) or coverage
+// floor missed; 2 usage; 5 every worker died; 6 --kill-worker did not
+// register loss + recovery.
 #include <signal.h>
 
 #include <algorithm>
@@ -110,6 +120,7 @@ int main(int argc, char** argv) {
   NetOptions net;
   std::uint32_t stats_period = 0;
   const char* stats_jsonl_path = nullptr;
+  const char* trace_path = nullptr;
   const char* jsonl_path = nullptr;
   const char* metrics_path = nullptr;
   const char* report_path = nullptr;
@@ -197,6 +208,8 @@ int main(int argc, char** argv) {
       stats_period = static_cast<std::uint32_t>(std::atoi(need("--stats")));
     } else if (!std::strcmp(argv[i], "--stats-jsonl")) {
       stats_jsonl_path = need("--stats-jsonl");
+    } else if (!std::strcmp(argv[i], "--trace")) {
+      trace_path = need("--trace");
     } else if (!std::strcmp(argv[i], "--trace-jsonl")) {
       jsonl_path = need("--trace-jsonl");
     } else if (!std::strcmp(argv[i], "--metrics")) {
@@ -273,6 +286,7 @@ int main(int argc, char** argv) {
   for (PeId pe = 0; pe < graph.num_pes(); ++pe)
     baseline[pe] = live_non_aux(pe);
 
+  const bool tracing = trace_path || jsonl_path;
   if (thr) {
     if (audit_period) {
       AuditOptions aopt;
@@ -280,7 +294,7 @@ int main(int argc, char** argv) {
       thr->enable_audit(aopt);
     }
     thr->enable_watchdog();
-    if (jsonl_path) thr->enable_trace();
+    if (tracing) thr->enable_trace();
     thr->start();
   } else if (proc) {
     if (audit_period) {
@@ -288,10 +302,10 @@ int main(int argc, char** argv) {
       aopt.period = audit_period;
       proc->enable_audit(aopt);
     }
-    if (jsonl_path) proc->enable_trace();
+    if (tracing) proc->enable_trace();
     proc->start();
   } else {
-    if (jsonl_path) sim->enable_trace();
+    if (tracing) sim->enable_trace();
   }
 
   obs::HealthEmitter health("dgr_soak", stats_period, stats_jsonl_path);
@@ -341,10 +355,16 @@ int main(int argc, char** argv) {
   if (thr) {
     audits = thr->audit_stats().audits;
     violations = thr->audit_stats().violations;
-    warnings = thr->health().total();
+    const HealthReport hr = thr->health();
+    warnings = hr.total();
     if (violations)
       std::printf("# last audit violation: %s\n",
                   thr->audit_stats().last_what.c_str());
+    for (std::size_t k = 0; k < obs::kNumHealthKinds; ++k)
+      if (hr.warnings[k])
+        std::printf("# health warning: %s x%llu\n",
+                    obs::health_kind_name(static_cast<obs::HealthKind>(k)),
+                    (unsigned long long)hr.warnings[k]);
   } else if (proc) {
     audits = proc->audit_stats().audits;
     violations = proc->audit_stats().violations;
@@ -358,25 +378,32 @@ int main(int argc, char** argv) {
   const Histogram stall = reg.merged_hist(obs::Hist::kMutatorStallUs);
   const std::uint64_t tele_dropped =
       reg.total(obs::Counter::kTelemetryDropped);
-  std::uint64_t workers_lost = 0, recoveries = 0;
+  std::uint64_t workers_lost = 0, recoveries = 0, relayed_frames = 0;
   std::uint32_t workers_live = 0;
   if (proc) {
     const ProcEngineStats ps = proc->stats();
     workers_lost = ps.workers_lost;
     recoveries = ps.recoveries;
+    relayed_frames = ps.transport.frames_relayed;
     workers_live = proc->workers_live();
   }
-  if (jsonl_path) {
+  if (tracing) {
     std::vector<obs::TraceEvent> events = eng->trace()->snapshot();
-    if (proc) {
-      for (const auto& w : proc->worker_traces())
-        events.insert(events.end(), w.begin(), w.end());
+    std::vector<std::vector<obs::TraceEvent>> wtr;
+    if (proc) wtr = proc->worker_traces();
+    if (trace_path)
+      write_file(trace_path,
+                 proc ? obs::to_chrome_trace_cluster(events, wtr,
+                                                     graph.num_pes())
+                      : obs::to_chrome_trace(events, graph.num_pes()));
+    if (jsonl_path) {
+      for (const auto& w : wtr) events.insert(events.end(), w.begin(), w.end());
       std::stable_sort(events.begin(), events.end(),
                        [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
                          return a.ts < b.ts;
                        });
+      write_file(jsonl_path, obs::to_jsonl(events));
     }
-    write_file(jsonl_path, obs::to_jsonl(events));
   }
   if (metrics_path)
     write_file(metrics_path, (proc ? proc->cluster_metrics_json()
@@ -398,8 +425,49 @@ int main(int argc, char** argv) {
       reg.total(obs::Counter::kMutatorStallMarkUs) +
       reg.total(obs::Counter::kMutatorStallQuiesceUs);
 
+  // Coverage floor: each configured subject must have been reached.
+  bool uncovered = false;
+  const struct {
+    const char* kind;
+    double p;
+    obs::Counter injected;
+  } fault_kinds[] = {
+      {"drop", net.faults.spec.drop, obs::Counter::kMsgDroppedInjected},
+      {"dup", net.faults.spec.duplicate, obs::Counter::kMsgDupInjected},
+      {"reorder", net.faults.spec.reorder, obs::Counter::kMsgReorderedInjected},
+      {"trunc", net.faults.spec.truncate, obs::Counter::kMsgTruncatedInjected},
+  };
+  for (const auto& f : fault_kinds) {
+    if (f.p > 0.0 && reg.total(f.injected) == 0) {
+      std::printf("# coverage: fault kind %s has probability %g but was "
+                  "never injected\n",
+                  f.kind, f.p);
+      uncovered = true;
+    }
+  }
+  // The standing root set's cross-PE edges cost a remote mark and its
+  // return per cycle whatever the workload does, as do M_T's per-PE task
+  // roots under --detect-deadlock; only traffic beyond that fan-out shows
+  // marking crossed a PE.
+  const std::uint64_t fan_out =
+      2ull * tot.cycles *
+      (drv.cross_pe_root_edges() + (detect ? wopt.pes - 1 : 0));
+  if (thr && wopt.pes >= 2 &&
+      reg.total(obs::Counter::kRemoteMessages) <= fan_out) {
+    std::printf("# coverage: %u PEs but no remote message beyond the root "
+                "fan-out (%llu)\n",
+                wopt.pes, (unsigned long long)fan_out);
+    uncovered = true;
+  }
+  if (proc && workers >= 2 && relayed_frames == 0) {
+    std::printf("# coverage: %u workers but the hub relayed no frame\n",
+                workers);
+    uncovered = true;
+  }
+
   int rc = 0;
-  if (violations || tot.divergence || tele_dropped || leaked || lingering)
+  if (violations || tot.divergence || tele_dropped || leaked || lingering ||
+      uncovered)
     rc = 1;
   if (health_fatal && warnings) rc = rc ? rc : 1;
   if (worker_died) rc = 5;
