@@ -11,6 +11,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/builder.h"
@@ -104,12 +105,38 @@ inline void report_phase_counters(benchmark::State& state, SimEngine& eng) {
   report_obs_counters(state, eng.metrics_registry());
 }
 
+// The host a BENCH_*.json came from, in perfbench's context format: cores,
+// build type, compiler and the source tree's git commit ("-dirty" when it
+// had uncommitted changes; "unknown" outside a git checkout).
+// check_bench_regression.py reads nproc from it to decide which multi-PE
+// legs can really run in parallel.
+inline std::string host_context_json() {
+  std::string sha = "unknown";
+  const std::string cmd = std::string("git -C '") + DGR_BENCH_SOURCE_DIR +
+                          "' describe --always --dirty --abbrev=40 2>/dev/null";
+  if (FILE* p = ::popen(cmd.c_str(), "r")) {
+    char buf[128] = {};
+    if (std::fgets(buf, sizeof(buf), p)) {
+      std::string s(buf);
+      while (!s.empty() && (s.back() == '\n' || s.back() == '\r'))
+        s.pop_back();
+      if (!s.empty()) sha = s;
+    }
+    ::pclose(p);
+  }
+  return "{\"nproc\":" + std::to_string(std::thread::hardware_concurrency()) +
+         ",\"build_type\":\"" + DGR_BENCH_BUILD_TYPE +
+         "\",\"compiler\":\"" + DGR_BENCH_COMPILER + "\",\"git_sha\":\"" +
+         sha + "\"}";
+}
+
 // Machine-readable results: every bench binary writes BENCH_<name>.json next
-// to its console output (schema documented in docs/OBSERVABILITY.md). One
-// entry per measured run: the full benchmark name (params are encoded in it,
-// e.g. "BM_MarkCycle/8"), iteration count, adjusted real/cpu time in the
-// bench's time unit, and every user counter the bench attached (the obs
-// registry totals from report_obs_counters / report_phase_counters).
+// to its console output (schema documented in docs/OBSERVABILITY.md): the
+// host context, then one entry per measured run: the full benchmark name
+// (params are encoded in it, e.g. "BM_MarkCycle/8"), iteration count,
+// adjusted real/cpu time in the bench's time unit, and every user counter
+// the bench attached (the obs registry totals from report_obs_counters /
+// report_phase_counters).
 // Subclasses ConsoleReporter so one reporter both prints the usual table and
 // collects the JSON (the library rejects a standalone file reporter unless
 // --benchmark_out is also given).
@@ -155,7 +182,8 @@ class JsonBenchReporter : public benchmark::ConsoleReporter {
                     std::ios::binary | std::ios::trunc);
     if (!f) return;
     f << "{\n  \"bench\": \"" << json_escape(bench_name_)
-      << "\",\n  \"runs\": [\n";
+      << "\",\n  \"context\": " << host_context_json()
+      << ",\n  \"runs\": [\n";
     for (std::size_t i = 0; i < entries_.size(); ++i)
       f << entries_[i] << (i + 1 < entries_.size() ? ",\n" : "\n");
     f << "  ]\n}\n";

@@ -13,11 +13,22 @@ void Marker::begin(Plane plane, VertexId root, std::uint8_t root_prior) {
   ps.active = true;
   ps.done = false;
   ps.tainted = false;
-  ps.stats.reset();
+  reset_stats(ps);
   clear_rescues(plane);
   ps.rescue_waves = 0;
   // "Marking is started by spawning the task mark1(root, rootpar)" (§4.1).
   sink_.spawn(Task::mark(plane, root, VertexId::rootpar(), root_prior));
+}
+
+MarkStats Marker::stats(Plane plane) const {
+  const PlaneState& ps = st(plane);
+  MarkStats s = ps.stats;
+  for (std::uint32_t pe = 0; pe < g_.num_pes(); ++pe) {
+    s.marks += ps.shards[pe].marks.load(std::memory_order_relaxed);
+    s.returns += ps.shards[pe].returns.load(std::memory_order_relaxed);
+    s.remarks += ps.shards[pe].remarks.load(std::memory_order_relaxed);
+  }
+  return s;
 }
 
 void Marker::exec(const Task& t) {
@@ -57,9 +68,13 @@ void Marker::spawn_return(Plane plane, VertexId par) {
 void Marker::exec_mark(Plane plane, VertexId v, VertexId par,
                        std::uint8_t prior) {
   PlaneState& ps = st(plane);
-  const std::uint64_t nmarks = ++ps.stats.marks;
-  if (trace_ && nmarks % kWaveFrontPeriod == 0)
-    trace_->emit(obs::EventType::kWaveFront, plane, v.pe, 0, nmarks);
+  Shard& sh = ps.shards[v.pe];
+  sh.marks.fetch_add(1, std::memory_order_relaxed);
+  if (trace_) {
+    const std::uint64_t nmarks = ++ps.traced_marks;
+    if (nmarks % kWaveFrontPeriod == 0)
+      trace_->emit(obs::EventType::kWaveFront, plane, v.pe, 0, nmarks);
+  }
   Vertex& vx = g_.at(v);
   DGR_CHECK_MSG(vx.live, "mark task reached a freed vertex");
   MarkPlane& m = fresh(vx, plane);
@@ -82,7 +97,7 @@ void Marker::exec_mark(Plane plane, VertexId v, VertexId par,
   } else {
     // Priority upgrade: release the old parent (its subtree-completion
     // obligation transfers to the new parent), then re-mark.
-    ++ps.stats.remarks;
+    sh.remarks.fetch_add(1, std::memory_order_relaxed);
     if (m.color == Color::kTransient) spawn_return(plane, m.mt_par);
     modify(plane, v, m, par, prior);
   }
@@ -144,8 +159,7 @@ void Marker::modify(Plane plane, VertexId v, MarkPlane& m, VertexId par,
 }
 
 void Marker::exec_return(Plane plane, VertexId v) {
-  PlaneState& ps = st(plane);
-  ++ps.stats.returns;
+  st(plane).shards[v.pe].returns.fetch_add(1, std::memory_order_relaxed);
   Vertex& vx = g_.at(v);
   MarkPlane& m = fresh(vx, plane);
   DGR_CHECK_MSG(m.mt_cnt > 0, "return1 underflow: broken marking invariant 3");

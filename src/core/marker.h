@@ -19,6 +19,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 
 #include "core/task.h"
@@ -32,7 +33,8 @@ class TraceBuffer;
 
 // Counters are atomic so the multi-threaded engine can execute marking tasks
 // on many PE threads concurrently (each task execution holds only its own
-// vertex's lock).
+// vertex's lock). A Marker counts into per-PE shards and sums them into
+// this view (Marker::stats).
 struct MarkStats {
   std::atomic<std::uint64_t> marks{0};    // mark tasks executed
   std::atomic<std::uint64_t> returns{0};  // return tasks executed
@@ -63,7 +65,10 @@ struct MarkStats {
 
 class Marker {
  public:
-  Marker(Graph& g, TaskSink& sink) : g_(g), sink_(sink) {}
+  Marker(Graph& g, TaskSink& sink) : g_(g), sink_(sink) {
+    for (PlaneState& ps : state_)
+      ps.shards = std::make_unique<Shard[]>(g.num_pes());
+  }
 
   // Begin a marking phase on `plane` from `root` (the computation-graph root
   // for kR; troot for kT). Bumps the plane epoch (unmarking everything) and
@@ -100,7 +105,7 @@ class Marker {
     ps.active = true;
     ps.done = false;
     ps.tainted = false;
-    ps.stats.reset();
+    reset_stats(ps);
     clear_rescues(plane);
   }
 
@@ -228,7 +233,9 @@ class Marker {
     return st(plane).rescue_waves.load(std::memory_order_relaxed);
   }
 
-  const MarkStats& stats(Plane plane) const { return st(plane).stats; }
+  // The plane's wave counters: the per-PE shards summed, plus cooperation
+  // spawns and counts adopted from workers.
+  MarkStats stats(Plane plane) const;
 
   // Observability: emit wave-front / rescue-wave events into `t` (nullptr
   // disables). Wave fronts are sampled every kWaveFrontPeriod mark execs.
@@ -236,12 +243,24 @@ class Marker {
   static constexpr std::uint32_t kWaveFrontPeriod = 32;
 
  private:
+  // Marks, returns and re-marks executed at one PE's vertices, on a cache
+  // line of their own: every task bumps one, and a counter shared by all PE
+  // threads would bounce between their cores (and invalidate the epoch every
+  // task reads).
+  struct alignas(64) Shard {
+    std::atomic<std::uint64_t> marks{0};
+    std::atomic<std::uint64_t> returns{0};
+    std::atomic<std::uint64_t> remarks{0};
+  };
   struct PlaneState {
     std::atomic<std::uint64_t> epoch{0};
     std::atomic<bool> active{false};
     std::atomic<bool> done{false};
     std::atomic<bool> tainted{false};
-    MarkStats stats;
+    MarkStats stats;  // coop_spawns and adopted worker counts only
+    std::unique_ptr<Shard[]> shards;  // [pe]
+    // Marks executed while a trace ring is set: the wave-front sample clock.
+    std::atomic<std::uint64_t> traced_marks{0};
     std::vector<std::pair<VertexId, std::uint8_t>> rescue_q;  // rescue_mu_
     VertexId rescue_root = VertexId::invalid();
     std::atomic<std::uint64_t> rescue_waves{0};
@@ -257,6 +276,15 @@ class Marker {
     st(p).rescue_q.clear();
   }
   void mint_rescue_root(PlaneState& ps);
+  void reset_stats(PlaneState& ps) {
+    ps.stats.reset();
+    for (std::uint32_t pe = 0; pe < g_.num_pes(); ++pe) {
+      ps.shards[pe].marks.store(0, std::memory_order_relaxed);
+      ps.shards[pe].returns.store(0, std::memory_order_relaxed);
+      ps.shards[pe].remarks.store(0, std::memory_order_relaxed);
+    }
+    ps.traced_marks.store(0, std::memory_order_relaxed);
+  }
 
   // Lazily reset a vertex's plane record to the current epoch.
   MarkPlane& fresh(Vertex& v, Plane plane) {

@@ -1,72 +1,111 @@
-// Per-PE mailbox for the threaded engine: serialized task messages with
-// traffic counters.
+// Per-PE mailbox for the threaded engine: serialized messages, each carrying
+// some number of marking tasks.
+//
+// A message is a byte batch of tasks (net/frame.h) or a reliable-channel
+// frame; the sender says how many tasks it carries. Every backlog figure the
+// mailbox reports (pending, high-water) is in tasks, so it means the same
+// thing whatever the batching.
+//
+// A mutex+condvar queue rather than a lock-free ring: messages are coarse
+// (whole batches), so the queue is not the bottleneck, and a timed blocking
+// drain with shutdown semantics keeps the engine simple.
 #pragma once
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
-#include <optional>
+#include <deque>
+#include <mutex>
 #include <vector>
-
-#include "util/mpmc_queue.h"
 
 namespace dgr {
 
 class Mailbox {
  public:
   using Bytes = std::vector<std::uint8_t>;
+  struct Msg {
+    Bytes bytes;
+    std::size_t tasks = 0;
+  };
 
-  void deliver(Bytes msg) {
-    bytes_in_.fetch_add(msg.size(), std::memory_order_relaxed);
-    msgs_in_.fetch_add(1, std::memory_order_relaxed);
-    // push() reports the post-push depth, so the gauge costs no second lock
-    // acquisition; the CAS loop runs only on a new high-water (rare).
-    note_depth(q_.push(std::move(msg)));
+  void deliver(Bytes bytes, std::size_t tasks) {
+    std::size_t depth;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      q_.push_back(Msg{std::move(bytes), tasks});
+      tasks_ += tasks;
+      depth = tasks_;
+      pending_.store(depth, std::memory_order_relaxed);
+    }
+    cv_.notify_one();
+    note_depth(depth);
   }
 
-  // Deliver a whole batch under one queue lock; counters and the high-water
-  // gauge update once per batch instead of once per message.
-  void deliver_batch(std::vector<Bytes> msgs) {
-    if (msgs.empty()) return;
-    std::uint64_t bytes = 0;
-    for (const Bytes& m : msgs) bytes += m.size();
-    bytes_in_.fetch_add(bytes, std::memory_order_relaxed);
-    msgs_in_.fetch_add(msgs.size(), std::memory_order_relaxed);
-    note_depth(q_.push_all(std::move(msgs)));
+  // Pop whole messages, in delivery order, until at least `max_tasks` tasks
+  // are taken or the mailbox is empty; appends to `out`. Returns the tasks
+  // taken. The first message is always taken, however many tasks it holds.
+  std::size_t drain(std::size_t max_tasks, std::vector<Msg>& out) {
+    std::lock_guard<std::mutex> lk(mu_);
+    return take(max_tasks, out);
   }
 
-  std::optional<Bytes> try_receive() { return q_.try_pop(); }
-
-  // Pop up to `max_n` pending messages under one queue lock, appending to
-  // `out` in delivery order. Returns how many were taken.
-  std::size_t drain(std::size_t max_n, std::vector<Bytes>& out) {
-    return q_.pop_up_to(max_n, out);
-  }
-
-  // Like drain, but parks on the queue condvar for up to `timeout_us` when
-  // empty. Idle PE threads use this instead of a yield loop.
-  std::size_t drain_wait(std::size_t max_n, std::vector<Bytes>& out,
+  // Like drain, but parks on the condvar for up to `timeout_us` when empty.
+  // Idle PE threads use this instead of a yield loop.
+  std::size_t drain_wait(std::size_t max_tasks, std::vector<Msg>& out,
                          std::uint64_t timeout_us) {
-    return q_.pop_up_to_wait(max_n, out, std::chrono::microseconds(timeout_us));
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait_for(lk, std::chrono::microseconds(timeout_us),
+                 [&] { return !q_.empty() || closed_ || woken_; });
+    woken_ = false;
+    return take(max_tasks, out);
   }
 
-  void close() { q_.close(); }
-  std::size_t pending() const { return q_.size(); }
+  // End a drain_wait in progress (or the next one) early, empty-handed: a
+  // PE parked on its mailbox then sees a pause request at once instead of
+  // after its timeout.
+  void wake() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      woken_ = true;
+    }
+    cv_.notify_all();
+  }
 
-  std::uint64_t messages_received() const {
-    return msgs_in_.load(std::memory_order_relaxed);
+  void close() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      closed_ = true;
+    }
+    cv_.notify_all();
   }
-  std::uint64_t bytes_received() const {
-    return bytes_in_.load(std::memory_order_relaxed);
+
+  // Tasks waiting. Lock-free: peers poll it on hot paths (backpressure,
+  // steal scans); a stale read only mis-times a heuristic.
+  std::size_t pending() const {
+    return pending_.load(std::memory_order_relaxed);
   }
-  // Deepest backlog observed at delivery time.
+
+  // Deepest task backlog observed at delivery time.
   std::uint64_t high_water() const {
     return high_water_.load(std::memory_order_relaxed);
   }
 
  private:
-  // Racy-but-monotone high-water update: a stale read only under-reports by
-  // a message or two, which is fine for a gauge.
+  std::size_t take(std::size_t max_tasks, std::vector<Msg>& out) {
+    std::size_t taken = 0;
+    while (taken < max_tasks && !q_.empty()) {
+      taken += q_.front().tasks;
+      out.push_back(std::move(q_.front()));
+      q_.pop_front();
+    }
+    tasks_ -= taken;
+    pending_.store(tasks_, std::memory_order_relaxed);
+    return taken;
+  }
+
+  // Racy-but-monotone high-water update: a stale read only under-reports,
+  // which is fine for a gauge.
   void note_depth(std::size_t depth) {
     std::uint64_t hw = high_water_.load(std::memory_order_relaxed);
     while (depth > hw &&
@@ -75,9 +114,13 @@ class Mailbox {
     }
   }
 
-  MpmcQueue<Bytes> q_;
-  std::atomic<std::uint64_t> msgs_in_{0};
-  std::atomic<std::uint64_t> bytes_in_{0};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<Msg> q_;
+  std::size_t tasks_ = 0;  // guarded by mu_
+  bool closed_ = false;
+  bool woken_ = false;
+  std::atomic<std::size_t> pending_{0};
   std::atomic<std::uint64_t> high_water_{0};
 };
 

@@ -1,6 +1,7 @@
 #include "net/reliable_channel.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "net/wire.h"
 #include "util/assert.h"
@@ -86,6 +87,15 @@ std::optional<ChannelFrame> try_decode_frame(ByteSpan bytes) {
   const std::uint64_t got = r.u64();
   if (!r.done() || got != want) return std::nullopt;
   return f;
+}
+
+std::size_t frame_payload_count(ByteSpan bytes) {
+  // type(1) + src(4) + dst(4) + seq(8) + ack(8), then the u32 count.
+  constexpr std::size_t kCountAt = 25;
+  if (bytes.size() < kCountAt + 4 || bytes[0] != kFrameData) return 0;
+  std::uint32_t count;
+  std::memcpy(&count, bytes.data() + kCountAt, sizeof count);
+  return std::min<std::size_t>(count, bytes.size() / kPerPayloadOverhead);
 }
 
 ChannelManager::ChannelManager(std::uint32_t num_pes, ReliableOptions opt,

@@ -90,6 +90,11 @@ std::vector<std::uint8_t> encode_frame(const ChannelFrame& f);
 // nullopt on truncated input or checksum mismatch — never aborts.
 std::optional<ChannelFrame> try_decode_frame(
     std::span<const std::uint8_t> bytes);
+// The payload count a data frame's header claims, read without decoding or
+// checking the frame (0 for an ack frame or a header too short to tell). A
+// mailbox counts a frame's tasks with it. Bounded by the frame's size, so a
+// corrupted count cannot claim more payloads than the bytes could hold.
+std::size_t frame_payload_count(std::span<const std::uint8_t> bytes);
 
 class ChannelManager {
  public:

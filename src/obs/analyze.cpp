@@ -462,6 +462,22 @@ bool enrich_with_metrics_json(TraceReport& report, const std::string& json) {
         row.pe_begin = static_cast<std::uint32_t>(u);
       if (scan_u64_after(json, at, "\"pe_count\":", &u))
         row.pe_count = static_cast<std::uint32_t>(u);
+      // "owned_pes":[a,b,...] inside this worker's object only.
+      const std::size_t next = json.find("{\"worker\":", at + 1);
+      const std::size_t list = json.find("\"owned_pes\":[", at);
+      if (list != std::string::npos && list < next) {
+        const char* p = json.c_str() + list + std::strlen("\"owned_pes\":[");
+        while (*p != ']' && *p != '\0') {
+          char* end = nullptr;
+          const unsigned long pe = std::strtoul(p, &end, 10);
+          if (end == p) break;
+          row.pes.push_back(static_cast<std::uint32_t>(pe));
+          p = *end == ',' ? end + 1 : end;
+        }
+      } else {
+        for (std::uint32_t i = 0; i < row.pe_count; ++i)
+          row.pes.push_back(row.pe_begin + i);
+      }
       scan_u64_after(json, at, "\"marks\":", &row.marks);
       scan_u64_after(json, at, "\"returns\":", &row.returns);
       scan_u64_after(json, at, "\"remote_messages\":", &row.remote_messages);
@@ -641,6 +657,12 @@ std::string report_to_json(const TraceReport& r) {
     append_kv(out, "worker", w.worker);
     append_kv(out, "pe_begin", w.pe_begin);
     append_kv(out, "pe_count", w.pe_count);
+    out += "\"owned_pes\":[";
+    for (std::size_t j = 0; j < w.pes.size(); ++j) {
+      if (j) out += ',';
+      out += std::to_string(w.pes[j]);
+    }
+    out += "],";
     append_kv(out, "marks", w.marks);
     append_kv(out, "returns", w.returns);
     append_kv(out, "remote_messages", w.remote_messages);
@@ -912,13 +934,14 @@ std::string report_to_text(const TraceReport& r) {
          "worker", "pes", "marks", "returns", "remote", "retx", "handoff-B",
          "relay", "relay-B", "tele", "tele-drop", "clk-off", "clk-rtt");
     for (const WorkerRow& w : r.workers) {
-      char pes[24];
-      std::snprintf(pes, sizeof(pes), "%u..%u", w.pe_begin,
-                    w.pe_begin + w.pe_count - (w.pe_count ? 1 : 0));
+      // The owned set as {1,3}; "-" for a worker that owns none.
+      std::string pes = w.pes.empty() ? "-" : "{";
+      for (std::size_t j = 0; j < w.pes.size(); ++j)
+        pes += std::to_string(w.pes[j]) + (j + 1 < w.pes.size() ? "," : "}");
       line(out,
            "%6u %9s %9llu %9llu %8llu %6llu %10llu %8llu %10llu %6llu %9llu "
            "%8lldus %7lluus",
-           w.worker, pes, (unsigned long long)w.marks,
+           w.worker, pes.c_str(), (unsigned long long)w.marks,
            (unsigned long long)w.returns,
            (unsigned long long)w.remote_messages,
            (unsigned long long)w.retransmits,

@@ -130,6 +130,10 @@ struct WorkerRow {
   std::uint32_t worker = 0;
   std::uint32_t pe_begin = 0;
   std::uint32_t pe_count = 0;
+  // The PEs the worker owns, ascending; after a recovery this can be
+  // non-contiguous or empty. Dumps without "owned_pes" read as the
+  // registration block pe_begin..pe_begin+pe_count-1.
+  std::vector<std::uint32_t> pes;
   std::uint64_t marks = 0;
   std::uint64_t returns = 0;
   std::uint64_t remote_messages = 0;

@@ -47,7 +47,7 @@ enum class Counter : std::uint8_t {
   // the thief; edge counters to the PE owning the edge's source vertex.
   kBoundaryDedup,      // remote child marks suppressed by a boundary summary
   kStealBatches,       // idle-PE steal passes that took at least one task
-  kStealTasks,         // tasks executed by a PE other than their owner
+  kStealTasks,         // tasks a PE took from a peer's mailbox to run
   kEdgeCut,            // arg edges whose endpoints live on different PEs
   kEdgesTotal,         // all arg edges (denominator for the cut fraction)
   // Cluster plane. Handoff bytes are charged to the receiving
@@ -81,7 +81,7 @@ inline constexpr std::size_t kNumCounters =
 const char* counter_name(Counter c);
 
 enum class Hist : std::uint8_t {
-  kMarkQueueDepth = 0,  // marking queue / mailbox depth at service time
+  kMarkQueueDepth = 0,  // pending marking tasks at service time
   kPoolDepth,           // reduction pool depth at service time
   kMsgLatency,          // cross-PE delivery latency (sim steps)
   kChannelRtt,          // reliable-channel clean RTT samples (microseconds)

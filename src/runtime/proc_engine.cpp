@@ -788,17 +788,27 @@ std::string ProcEngine::cluster_metrics_json() const {
   for (std::uint32_t w = 0; w < num_workers_; ++w) {
     const std::uint64_t rf = w < relay.size() ? relay[w].frames : 0;
     const std::uint64_t rb = w < relay.size() ? relay[w].bytes : 0;
+    // The owned set, which a recovery can leave non-contiguous or empty;
+    // pe_begin/pe_count alone cannot say which PEs a worker holds.
+    std::snprintf(buf, sizeof(buf),
+                  "%s{\"worker\":%u,\"pe_begin\":%u,\"pe_count\":%u,"
+                  "\"owned_pes\":[",
+                  w == 0 ? "" : ",", w, slots_[w].pe_begin,
+                  static_cast<std::uint32_t>(slots_[w].pes.size()));
+    out += buf;
+    for (std::size_t i = 0; i < slots_[w].pes.size(); ++i) {
+      if (i) out += ',';
+      out += std::to_string(slots_[w].pes[i]);
+    }
     std::snprintf(
         buf, sizeof(buf),
-        "%s{\"worker\":%u,\"pe_begin\":%u,\"pe_count\":%u,\"alive\":%s,"
+        "],\"alive\":%s,"
         "\"marks\":%llu,\"returns\":%llu,\"remote_messages\":%llu,"
         "\"retransmits\":%llu,\"handoff_bytes\":%llu,"
         "\"handoff_full_bytes\":%llu,\"handoff_delta_bytes\":%llu,"
         "\"relayed_frames\":%llu,\"relayed_bytes\":%llu,"
         "\"telemetry_msgs\":%llu,\"telemetry_dropped\":%llu,"
         "\"clock_offset_us\":%lld,\"clock_rtt_us\":%llu}",
-        w == 0 ? "" : ",", w, slots_[w].pe_begin,
-        static_cast<std::uint32_t>(slots_[w].pes.size()),
         slots_[w].alive ? "true" : "false",
         (unsigned long long)range_sum(w, obs::Counter::kMarkTasks),
         (unsigned long long)range_sum(w, obs::Counter::kReturnTasks),

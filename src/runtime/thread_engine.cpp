@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <shared_mutex>
+#include <utility>
 
+#include "net/frame.h"
 #include "net/wire.h"
 #include "obs/trace.h"
 #include "util/log.h"
@@ -12,9 +14,11 @@ namespace dgr {
 namespace {
 thread_local int tl_pe = -1;  // PE id of the current thread, -1 = external
 
-// Receiver: messages taken per drain pass (and the cap on one steal).
+// Tasks moved from the mailbox onto the work list per pass (whole messages,
+// at least one), tasks run from the list per pass, and the cap on one steal.
 constexpr std::size_t kDrainMax = 64;
-// Idle-path stealing: the smallest peer backlog worth taking from.
+// Idle-path stealing: the smallest peer mailbox backlog (tasks) worth
+// taking from.
 constexpr std::size_t kStealMin = 16;
 // Soft backpressure (see maybe_backpressure): the backlog that opens a
 // congestion episode, and the yields spent before disarming the pair.
@@ -57,8 +61,9 @@ ThreadEngine::ThreadEngine(Graph& g, NetOptions net)
       reg_(g.num_pes()),
       t0_(std::chrono::steady_clock::now()),
       plane_(g.num_pes(), net,
-             [this](PeId, PeId dst, FaultPlane::Bytes msg) {
-               mail_[dst]->deliver(std::move(msg));
+             [this](PeId, PeId dst, FaultPlane::Bytes frame) {
+               const std::size_t tasks = frame_payload_count(frame);
+               mail_[dst]->deliver(std::move(frame), tasks);
              },
              reg_),
       audit_(g, *marker_) {
@@ -73,10 +78,11 @@ ThreadEngine::ThreadEngine(Graph& g, NetOptions net)
     pools_.push_back(std::make_unique<TaskPool>());
     pool_mu_.push_back(std::make_unique<std::mutex>());
   }
-  out_.resize(g_.num_pes());
-  for (auto& row : out_) row.resize(g_.num_pes());
-  bp_armed_.resize(g_.num_pes());
-  for (auto& row : bp_armed_) row.assign(g_.num_pes(), 1);  // armed
+  for (PeId pe = 0; pe < g_.num_pes(); ++pe) {
+    pes_.push_back(std::make_unique<PeState>());
+    pes_[pe]->out.resize(g_.num_pes());
+    pes_[pe]->bp_armed.assign(g_.num_pes(), 1);  // armed
+  }
   summary_.reserve(g_.num_pes() * 2u);
   for (std::size_t i = 0; i < g_.num_pes() * 2u; ++i)
     summary_.push_back(std::make_unique<BoundaryShard>());
@@ -102,6 +108,9 @@ void ThreadEngine::start() {
 
 void ThreadEngine::stop() {
   if (!running_.exchange(false)) return;
+  // Release any PE parked for a quiesce; it then sees running_ and exits.
+  pause_.store(false, std::memory_order_release);
+  pause_.notify_all();
   for (auto& m : mail_) m->close();
   for (auto& t : threads_) t.join();
   threads_.clear();
@@ -128,53 +137,77 @@ void ThreadEngine::spawn(Task t) {
     inject(std::move(t));
     return;
   }
-  std::vector<std::uint8_t> bytes = encode_task(t);
-  reg_.add(src, obs::Counter::kBytesSent, bytes.size());
-  if (src != dst) maybe_backpressure(src, dst);
+  if (tl_pe >= 0 && src == dst) {
+    // A PE thread's own task: typed, straight onto its work list. Spawned
+    // inside a run, it is counted when the run folds its tally.
+    PeState& me = *pes_[src];
+    me.work.push(t);
+    if (me.in_run) {
+      ++me.run_pushed;
+    } else {
+      outstanding_.fetch_add(1, std::memory_order_acq_rel);
+    }
+    return;
+  }
   outstanding_.fetch_add(1, std::memory_order_acq_rel);
+  if (src != dst) maybe_backpressure(src, dst);
   if (ChannelManager* chan = plane_.channel()) {
+    std::vector<std::uint8_t> bytes = encode_task(t);
+    if (src != dst) reg_.add(src, obs::Counter::kBytesSent, bytes.size());
     chan->send(src, dst, std::move(bytes), now_us());
     return;
   }
-  // Fast path. Cross-PE spawns from a PE thread stage into the per-pair
-  // batch; everything else (local spawns, external threads) delivers
-  // directly — staging rows are single-writer by construction. A message at
-  // or over the cap (always, at batch_bytes == 0) flushes at once.
-  if (tl_pe >= 0 && dst != static_cast<PeId>(tl_pe)) {
-    OutBatch& b = out_[src][dst];
-    if (b.msgs.empty()) b.deadline_us = now_us() + net_.reliable.batch_flush_us;
-    b.bytes += bytes.size();
-    b.msgs.push_back(std::move(bytes));
-    if (b.bytes >= net_.reliable.batch_bytes) flush_pair_fast(src, dst);
+  if (tl_pe >= 0) {
+    stage(src, dst, t);
     return;
   }
-  mail_[dst]->deliver(std::move(bytes));
+  // From outside the PE threads: a batch of one, delivered at once.
+  std::vector<std::uint8_t> batch;
+  const std::size_t at = batch_open(batch);
+  append_task(batch, t);
+  batch_close(batch, at);
+  mail_[dst]->deliver(std::move(batch), 1);
+}
+
+void ThreadEngine::stage(PeId src, PeId dst, const Task& t) {
+  OutBatch& b = pes_[src]->out[dst];
+  if (b.tasks == 0) {
+    b.deadline_us = now_us() + net_.reliable.batch_flush_us;
+    b.bytes.reserve(net_.reliable.batch_bytes + 64);
+  }
+  const std::size_t at = batch_open(b.bytes);
+  append_task(b.bytes, t);
+  reg_.add(src, obs::Counter::kBytesSent,
+           b.bytes.size() - at - kBatchPrefixSize);
+  batch_close(b.bytes, at);
+  ++b.tasks;
+  if (b.bytes.size() >= net_.reliable.batch_bytes) flush_pair(src, dst);
 }
 
 void ThreadEngine::maybe_backpressure(PeId src, PeId dst) {
-  const std::uint64_t backlog = mail_[dst]->pending();
-  std::uint8_t& armed = bp_armed_[src][dst];
+  const std::uint64_t depth = backlog(dst);
+  std::uint8_t& armed = pes_[src]->bp_armed[dst];
   if (!armed) {
     // A congestion episode is in progress: sail through until the peer has
     // genuinely drained (hysteresis at half the limit re-arms the pair).
     // Yielding per message while the backlog sits above the limit is the
-    // 2-PE cliff: a steady-state mark exchange holds both mailboxes near
+    // 2-PE cliff: a steady-state mark exchange holds both backlogs near
     // their high-water, so every spawn paid the full spin budget.
-    if (backlog < kBackpressureLimit / 2) armed = 1;
+    if (depth < kBackpressureLimit / 2) armed = 1;
     return;
   }
-  if (backlog <= kBackpressureLimit) return;
+  if (depth <= kBackpressureLimit) return;
   reg_.add(src, obs::Counter::kBackpressureStall);
   DGR_TRACE_EVENT(trace_.get(), obs::EventType::kBackpressureStall, Plane::kR,
                   static_cast<std::uint16_t>(src), 0,
-                  static_cast<std::uint64_t>(dst), backlog);
+                  static_cast<std::uint64_t>(dst), depth);
   // Soft and strictly bounded: this thread may hold vertex-stripe locks
   // (globally shared hash stripes) that the congested receiver needs, so
   // waiting indefinitely could deadlock. Yield a few times; if the peer is
   // still congested, disarm and let the episode run its course.
   for (std::uint32_t i = 0; i < kBackpressureSpins; ++i) {
     std::this_thread::yield();
-    if (mail_[dst]->pending() <= kBackpressureLimit) return;
+    if (backlog(dst) <= kBackpressureLimit) return;
   }
   armed = 0;
 }
@@ -220,14 +253,14 @@ void ThreadEngine::count_edge_cut() {
   });
 }
 
-void ThreadEngine::flush_pair_fast(PeId src, PeId dst) {
-  OutBatch& b = out_[src][dst];
-  if (b.msgs.empty()) return;
-  note_batch_flush(reg_, trace_.get(), src, b.msgs.size(), b.bytes,
+void ThreadEngine::flush_pair(PeId src, PeId dst) {
+  OutBatch& b = pes_[src]->out[dst];
+  if (b.tasks == 0) return;
+  note_batch_flush(reg_, trace_.get(), src, b.tasks, b.bytes.size(),
                    net_.reliable.batch_bytes);
-  mail_[dst]->deliver_batch(std::move(b.msgs));
-  b.msgs.clear();
-  b.bytes = 0;
+  mail_[dst]->deliver(std::move(b.bytes), b.tasks);
+  b.bytes = {};
+  b.tasks = 0;
   b.deadline_us = 0;
 }
 
@@ -237,18 +270,16 @@ void ThreadEngine::flush_outgoing(PeId pe, bool force) {
   std::uint64_t now = 0;
   bool now_set = false;
   for (PeId dst = 0; dst < g_.num_pes(); ++dst) {
-    OutBatch& b = out_[pe][dst];
-    if (b.msgs.empty()) continue;
-    if (!force) {
-      if (b.bytes < net_.reliable.batch_bytes) {
-        if (!now_set) {
-          now = now_us();
-          now_set = true;
-        }
-        if (now < b.deadline_us) continue;
+    const OutBatch& b = pes_[pe]->out[dst];
+    if (b.tasks == 0) continue;
+    if (!force && b.bytes.size() < net_.reliable.batch_bytes) {
+      if (!now_set) {
+        now = now_us();
+        now_set = true;
       }
+      if (now < b.deadline_us) continue;
     }
-    flush_pair_fast(pe, dst);
+    flush_pair(pe, dst);
   }
 }
 
@@ -260,19 +291,28 @@ void ThreadEngine::inject(Task t) {
 
 void ThreadEngine::pe_loop(PeId pe) {
   tl_pe = static_cast<int>(pe);
+  PeState& me = *pes_[pe];
   std::uint64_t frames = 0;  // for periodic timer service while busy
-  std::vector<Mailbox::Bytes> buf;  // reused drain buffer
+  std::vector<Mailbox::Msg> buf;  // reused drain buffer
   ChannelManager* const chan = plane_.channel();
+  const auto take_mail = [&] {
+    for (const Mailbox::Msg& m : buf) {
+      receive(pe, pe, m);
+      if (chan && (++frames & 63) == 0) chan->service(pe, now_us());
+    }
+    buf.clear();
+  };
   while (running_.load(std::memory_order_relaxed)) {
     if (pause_.load(std::memory_order_acquire)) {
       // Staged marks must reach their mailboxes before this PE parks: a
       // message wedged here would stall wave termination (and with it the
       // quiescer) indefinitely.
       flush_outgoing(pe, /*force=*/true);
+      // Parked PEs block rather than yield-spin: a restructure can take a
+      // millisecond, and a spinning PE burns a core for all of it.
       parked_.fetch_add(1, std::memory_order_acq_rel);
-      while (pause_.load(std::memory_order_acquire) &&
-             running_.load(std::memory_order_relaxed))
-        std::this_thread::yield();
+      while (pause_.load(std::memory_order_acquire))
+        pause_.wait(true, std::memory_order_acquire);
       parked_.fetch_sub(1, std::memory_order_acq_rel);
       continue;
     }
@@ -282,12 +322,14 @@ void ThreadEngine::pe_loop(PeId pe) {
       restructure_claim_.clear(std::memory_order_release);
       continue;
     }
-    // Batch drain: take up to kDrainMax messages under one mailbox lock and
-    // execute the burst without further queue traffic (the bounded budget
-    // keeps pause/restructure latency and flush staleness in check).
-    buf.clear();
-    std::size_t n = mail_[pe]->drain(kDrainMax, buf);
-    if (n == 0) {
+    // Mail joins the list before anything runs, so a strong mark from a
+    // peer overtakes weaker local work. One mailbox lock per pass; the
+    // bounded take leaves the rest of a deep backlog where idle peers can
+    // steal it.
+    mail_[pe]->drain(kDrainMax, buf);
+    take_mail();
+    if (me.work.empty()) {
+      me.depth.store(0, std::memory_order_relaxed);
       // Idle: staged batches flush now (latency floor for stragglers), and
       // idle is when retransmit timers matter — a dropped frame leaves the
       // mailbox empty until this PE re-sends it.
@@ -305,63 +347,95 @@ void ThreadEngine::pe_loop(PeId pe) {
       // yield-spinning. A polling idler on a shared core competes with the
       // busy PEs for the timeslice that would drain the very backlog it is
       // polling for.
-      n = mail_[pe]->drain_wait(kDrainMax, buf, kIdleWaitUs);
-      if (n == 0) continue;
+      mail_[pe]->drain_wait(kDrainMax, buf, kIdleWaitUs);
+      take_mail();
+      continue;
     }
-    // Sampled mailbox backlog at service time, once per drained burst (the
-    // per-PE hist lock is uncontended: only this thread observes its slot).
-    if ((reg_.get(pe, obs::Counter::kMarkTasks) & 15) == 0)
-      reg_.observe(pe, obs::Hist::kMarkQueueDepth,
-                   static_cast<double>(mail_[pe]->pending() + n));
-    for (const auto& msg : buf) {
-      receive(pe, pe, msg);
-      if (chan && (++frames & 63) == 0) chan->service(pe, now_us());
+    // Publish the backlog once per pass (the per-PE hist lock is
+    // uncontended: only this thread observes its slot).
+    const std::uint64_t depth = me.work.size();
+    const std::uint64_t total = depth + mail_[pe]->pending();
+    me.depth.store(depth, std::memory_order_relaxed);
+    if (total > me.high_water.load(std::memory_order_relaxed))
+      me.high_water.store(total, std::memory_order_relaxed);
+    reg_.observe(pe, obs::Hist::kMarkQueueDepth, static_cast<double>(total));
+    // A bounded run keeps pause/restructure latency and flush staleness in
+    // check.
+    // outstanding_ moves once per run: the tasks run here stay counted
+    // until the fold, so it cannot read 0 while their uncounted local
+    // children wait on the list.
+    std::size_t ran = 0;
+    me.in_run = true;
+    while (ran < kDrainMax && !me.work.empty()) {
+      execute(pe, me.work.pop());
+      ++ran;
     }
-    // Between bursts: push out size/age-ripe batches staged by the executes
-    // above (worst-case staleness is one kDrainMax burst + batch_flush_us).
+    me.in_run = false;
+    const std::size_t pushed = std::exchange(me.run_pushed, 0);
+    if (pushed > ran)
+      outstanding_.fetch_add(pushed - ran, std::memory_order_acq_rel);
+    else if (ran > pushed)
+      outstanding_.fetch_sub(ran - pushed, std::memory_order_acq_rel);
+    // Between runs: push out size/age-ripe batches staged by the executes
+    // above (worst-case staleness is one run + batch_flush_us).
     flush_outgoing(pe, /*force=*/false);
   }
   tl_pe = -1;
 }
 
-bool ThreadEngine::try_steal(PeId pe, std::vector<Mailbox::Bytes>& buf) {
+bool ThreadEngine::try_steal(PeId pe, std::vector<Mailbox::Msg>& buf) {
   PeId victim = pe;
   std::size_t deepest = 0;
   for (PeId v = 0; v < g_.num_pes(); ++v) {
     if (v == pe) continue;
-    const std::size_t backlog = mail_[v]->pending();
-    if (backlog > deepest) {
-      deepest = backlog;
+    const std::size_t pending = mail_[v]->pending();
+    if (pending > deepest) {
+      deepest = pending;
       victim = v;
     }
   }
   if (deepest < kStealMin) return false;
-  buf.clear();
-  const std::size_t n =
-      mail_[victim]->drain(std::min<std::size_t>(deepest / 2, kDrainMax), buf);
-  if (n == 0) return false;
-  reg_.add(pe, obs::Counter::kStealBatches);
-  reg_.add(pe, obs::Counter::kStealTasks, n);
-  // Execute the stolen batch here. Location transparency makes this safe:
+  mail_[victim]->drain(std::min<std::size_t>(deepest / 2, kDrainMax), buf);
+  if (buf.empty()) return false;
+  // Run the stolen tasks here. Location transparency makes this safe:
   // vertex locks are global stripes, the marker touches only t.d under its
   // lock, counters are charged to the executing PE, and the channel/fault
   // planes serialize internally — a stolen frame still runs through the
   // channel as victim's, so the (src → victim) receiver state stays
   // exactly-once regardless of which thread processes it.
-  for (const auto& msg : buf) receive(pe, victim, msg);
-  // Children spawned by the stolen tasks staged into this thief's rows;
-  // push the ripe ones out before the next poll.
-  flush_outgoing(pe, /*force=*/false);
+  std::size_t stolen = 0;
+  for (const Mailbox::Msg& m : buf) stolen += receive(pe, victim, m);
+  buf.clear();
+  if (stolen > 0) {
+    reg_.add(pe, obs::Counter::kStealBatches);
+    reg_.add(pe, obs::Counter::kStealTasks, stolen);
+  }
   return true;
 }
 
-void ThreadEngine::receive(PeId pe, PeId owner,
-                           std::span<const std::uint8_t> msg) {
-  const std::size_t n = plane_.receive(
-      pe, owner, msg, [this] { return now_us(); },
-      [this, pe](const Task& t) { execute(pe, t); });
-  // Undecodable payloads are retired too, so wait_quiescent cannot hang.
-  outstanding_.fetch_sub(n, std::memory_order_acq_rel);
+std::size_t ThreadEngine::receive(PeId pe, PeId owner,
+                                  const Mailbox::Msg& msg) {
+  WorkList& work = pes_[pe]->work;
+  std::size_t queued = 0;
+  const auto push = [&](const Task& t) {
+    work.push(t);
+    ++queued;
+  };
+  const auto now = [this] { return now_us(); };
+  std::size_t consumed = msg.tasks;
+  if (plane_.channel()) {
+    consumed = plane_.receive(pe, owner, msg.bytes, now, push);
+  } else if (batch_split(msg.bytes, pes_[pe]->views)) {
+    for (std::span<const std::uint8_t> v : pes_[pe]->views)
+      plane_.receive(pe, owner, v, now, push);
+  } else {
+    reg_.add(pe, obs::Counter::kMsgDecodeError);
+  }
+  // Payloads that did not decode never run; retire them here so
+  // wait_quiescent cannot hang.
+  if (consumed > queued)
+    outstanding_.fetch_sub(consumed - queued, std::memory_order_acq_rel);
+  return queued;
 }
 
 void ThreadEngine::execute(PeId pe, const Task& t) {
@@ -403,8 +477,11 @@ void ThreadEngine::quiesce_begin() {
   if (tl_pe >= 0) flush_outgoing(static_cast<PeId>(tl_pe), /*force=*/true);
   // Exclusive against external mutators...
   mutation_gate().lock();
-  // ...and against the PE threads (minus the caller, if it is one).
+  // ...and against the PE threads (minus the caller, if it is one). An
+  // idle PE parked on its mailbox is woken rather than left to time out:
+  // every µs spent here holds the mutators off the gate.
   pause_.store(true, std::memory_order_release);
+  for (auto& m : mail_) m->wake();
   const std::uint32_t expected =
       g_.num_pes() - (tl_pe >= 0 ? 1u : 0u);
   while (parked_.load(std::memory_order_acquire) < expected)
@@ -417,6 +494,7 @@ void ThreadEngine::quiesce_begin() {
 
 void ThreadEngine::quiesce_end() {
   pause_.store(false, std::memory_order_release);
+  pause_.notify_all();
   mutation_gate().unlock();
 }
 
@@ -501,13 +579,13 @@ void ThreadEngine::watchdog_loop() {
     // Mailbox saturation, edge-triggered per PE (re-arms once the backlog
     // halves, so a persistently saturated mailbox warns once, not per tick).
     for (PeId pe = 0; pe < g_.num_pes(); ++pe) {
-      const std::uint64_t backlog = mail_[pe]->pending();
-      if (backlog >= wd_opt_.mailbox_saturation) {
+      const std::uint64_t depth = backlog(pe);
+      if (depth >= wd_opt_.mailbox_saturation) {
         if (!mailbox_reported[pe]) {
           mailbox_reported[pe] = true;
-          warn(obs::HealthKind::kMailboxSaturated, pe, backlog);
+          warn(obs::HealthKind::kMailboxSaturated, pe, depth);
         }
-      } else if (backlog < wd_opt_.mailbox_saturation / 2) {
+      } else if (depth < wd_opt_.mailbox_saturation / 2) {
         mailbox_reported[pe] = false;
       }
     }
@@ -566,8 +644,10 @@ obs::TraceBuffer* ThreadEngine::enable_trace(std::size_t capacity) {
 
 ThreadEngineStats ThreadEngine::stats() const {
   ThreadEngineStats s;
-  for (const auto& m : mail_)
-    s.mailbox_high_water = std::max(s.mailbox_high_water, m->high_water());
+  for (PeId pe = 0; pe < g_.num_pes(); ++pe)
+    s.mailbox_high_water = std::max(
+        {s.mailbox_high_water, mail_[pe]->high_water(),
+         pes_[pe]->high_water.load(std::memory_order_relaxed)});
   return s;
 }
 

@@ -13,22 +13,39 @@
 // the MARK phase to be concurrent (§4: "we concentrate solely upon the mark
 // phase").
 //
+// Work list: each PE's pending marking work waits in its WorkList
+// (runtime/work_list.h), M_R marks highest priority first. A task a PE
+// thread spawns for its own PE goes straight onto that list as a typed Task:
+// no encode, no allocation, no mailbox. Each pass of the PE loop moves up to
+// kDrainMax tasks' worth of mailbox messages onto the list, then runs up to
+// kDrainMax tasks from it; the tasks a run spawns for its own PE reach the
+// shared pending count (wait_quiescent) in one fold at its end, not one
+// atomic each. WorkerEngine runs the same list.
+//
 // Message plane (NetOptions, net/reliable_channel.h). Cross-PE messages
-// land in per-PE mailboxes. With a nonzero fault schedule every marking
-// message crosses the shared MessagePlane stack (runtime/message_plane.h):
-// the engine sees exactly-once in-order delivery while the wire drops,
-// duplicates, reorders and truncates under it. With no faults, messages go
-// straight to the destination mailbox.
+// land in per-PE mailboxes. With a nonzero fault schedule every cross-PE
+// marking message crosses the shared MessagePlane stack
+// (runtime/message_plane.h): the engine sees exactly-once in-order delivery
+// while the wire drops, duplicates, reorders and truncates under it. With
+// no faults, messages go straight to the destination mailbox.
 //
 // Batching: cross-PE spawns from a PE thread coalesce per directed PE pair
-// — on the fast path into per-pair staging rows flushed to the destination
-// mailbox as one deliver_batch, on the channel path into multi-payload
-// frames. Both read reliable.batch_bytes and reliable.batch_flush_us. A
-// batch flushes when it reaches batch_bytes, ages past batch_flush_us, or
-// its owning PE goes idle or parks; receivers drain up to kDrainMax messages
-// per loop pass under a single mailbox lock. batch_bytes == 0 flushes every
-// staged message at once (a batch of one) and puts each channel payload in
-// its own frame; the channel's acks stay deferred or piggybacked either way.
+// — on the fast path into one length-prefixed byte batch (net/frame.h, the
+// kData batch format WorkerEngine sends over sockets) delivered to the
+// destination mailbox as one message, on the channel path into
+// multi-payload frames. Both read reliable.batch_bytes and
+// reliable.batch_flush_us. A batch flushes when it reaches batch_bytes, ages
+// past batch_flush_us, or its owning PE goes idle or parks. batch_bytes == 0
+// flushes every staged task at once (a batch of one) and puts each channel
+// payload in its own frame; the channel's acks stay deferred or piggybacked
+// either way. Spawns from outside the PE threads (root seeds, mutators)
+// arrive as batches of one.
+//
+// Backlog figures are in tasks: the mailbox counts the tasks each message
+// carries, and a PE's backlog (mailbox plus the list size it publishes once
+// per pass) drives backpressure, the watchdog and mailbox_high_water. An
+// idle PE parks on its mailbox for at most kIdleWaitUs; a quiesce wakes it
+// at once, since the mutators are held off the gate until every PE parks.
 //
 // Locality, always on:
 //   - Boundary summaries: per-(destination PE, plane) tables record the
@@ -37,12 +54,13 @@
 //     (counted as boundary_dedup), so each remote vertex is requested at
 //     most once per wave and priority level instead of once per
 //     cross-partition edge.
-//   - Work stealing: a PE whose mailbox is empty drains up to half (capped
-//     at kDrainMax) of the deepest peer backlog, once that backlog reaches
-//     kStealMin, and executes the batch itself instead of parking. Sound
-//     because task execution is location-transparent here: vertex locks are
-//     global stripes, counters are per-executing-PE, and the channel/fault
-//     planes take their own locks.
+//   - Work stealing: a PE with nothing to run takes whole messages from the
+//     deepest peer mailbox, up to half its backlog (capped at kDrainMax
+//     tasks), once that backlog reaches kStealMin tasks, and runs them from
+//     its own list instead of parking. Sound because task execution is
+//     location-transparent here: vertex locks are global stripes, counters
+//     are per-executing-PE, and the channel/fault planes take their own
+//     locks. A PE's list is its own; only its mailbox can be stolen from.
 //
 // Scope: this engine drives marking workloads plus driver-based mutation
 // (the full reduction Machine runs on the deterministic SimEngine; see
@@ -67,6 +85,7 @@
 #include "runtime/audit.h"
 #include "runtime/message_plane.h"
 #include "runtime/pool.h"
+#include "runtime/work_list.h"
 
 namespace dgr {
 
@@ -76,13 +95,15 @@ class VertexLocks;
 // The one engine figure the metrics registry does not hold; every counter
 // lives in metrics_registry().
 struct ThreadEngineStats {
-  std::uint64_t mailbox_high_water = 0;  // deepest mailbox backlog seen
+  // Deepest PE backlog seen, in tasks: mailbox plus work list.
+  std::uint64_t mailbox_high_water = 0;
 };
 
 // Online health monitoring: a watchdog thread samples the metrics registry,
 // the controller and the mailboxes every `interval_ms` and flags
 //   - a marking wave with no front progress for `stall_samples` samples,
-//   - a mailbox backlog above `mailbox_saturation`,
+//   - a PE backlog (mailbox plus work list, in tasks) above
+//     `mailbox_saturation`,
 //   - more than `rescue_storm` supplementary waves within one cycle,
 // as health_warning trace events (when tracing is enabled) plus always-on
 // counters.
@@ -188,23 +209,31 @@ class ThreadEngine final : public TaskSink, public EngineHooks {
 
   void pe_loop(PeId pe);
   void execute(PeId pe, const Task& t);
-  // Receive one mailbox message addressed to `owner` on PE thread `pe`,
-  // execute the tasks it carries and retire them from outstanding_.
-  void receive(PeId pe, PeId owner, std::span<const std::uint8_t> msg);
-  // Fast-path batching: flush every staged pair whose sender is `pe`
-  // (force) or only the size/age-ripe ones. PE-thread-local: row `pe` of
-  // out_ is touched exclusively by its owning thread.
+  // Receive one mailbox message addressed to `owner` on PE thread `pe` and
+  // push the tasks it carries onto pe's work list. Returns how many.
+  std::size_t receive(PeId pe, PeId owner, const Mailbox::Msg& msg);
+  // Stage a cross-PE task from PE thread `src` into its byte batch for
+  // `dst`.
+  void stage(PeId src, PeId dst, const Task& t);
+  // Flush every staged batch whose sender is `pe` (force) or only the
+  // size/age-ripe ones. PE-thread-local: only thread `pe` touches its
+  // batches.
   void flush_outgoing(PeId pe, bool force);
-  void flush_pair_fast(PeId src, PeId dst);
+  void flush_pair(PeId src, PeId dst);
+  // Tasks waiting at `pe`: its mailbox plus its last published list size.
+  std::uint64_t backlog(PeId pe) const {
+    return pes_[pe]->depth.load(std::memory_order_relaxed) +
+           mail_[pe]->pending();
+  }
   // Soft backpressure, edge-triggered per directed PE pair: one bounded
   // yield episode (counted as backpressure_stall) per congestion event, then
   // the pair stays disarmed until the backlog halves (docs/PERF.md). Never
   // blocks. Only PE thread `src` calls this for its own row, so the arming
   // bytes need no synchronization.
   void maybe_backpressure(PeId src, PeId dst);
-  // Idle-path mailbox stealing: drain up to half of the deepest peer
-  // backlog into `buf` and execute it here. Returns true if work was taken.
-  bool try_steal(PeId pe, std::vector<Mailbox::Bytes>& buf);
+  // Idle-path mailbox stealing: take up to half of the deepest peer
+  // mailbox onto pe's work list. Returns true if messages were taken.
+  bool try_steal(PeId pe, std::vector<Mailbox::Msg>& buf);
   // Walk the graph once and charge edge_cut / edges_total per owning PE
   // (called from start(), before any thread runs).
   void count_edge_cut();
@@ -230,19 +259,26 @@ class ThreadEngine final : public TaskSink, public EngineHooks {
 
   // Cross-PE delivery plane: one mailbox per PE, indexed by destination.
   std::vector<std::unique_ptr<Mailbox>> mail_;
-  // Fast-path sender staging (fault-free plane only; the channel batches on
-  // its own when active). out_[src][dst] holds cross-PE marking messages
-  // awaiting a coalesced deliver_batch. No locks: row src belongs to PE
-  // thread src alone; external (tl_pe == -1) spawns bypass staging.
+  // What each PE thread owns alone: its work list, its outgoing byte batch
+  // per destination PE (fast path only; the channel batches on its own) and
+  // its backpressure arming per destination. Other threads read only the
+  // published gauges.
   struct OutBatch {
-    std::vector<Mailbox::Bytes> msgs;
-    std::size_t bytes = 0;
-    std::uint64_t deadline_us = 0;  // set when the first message is staged
+    std::vector<std::uint8_t> bytes;  // kData batch format (net/frame.h)
+    std::size_t tasks = 0;
+    std::uint64_t deadline_us = 0;  // set when the first task is staged
   };
-  std::vector<std::vector<OutBatch>> out_;
-  // Backpressure arming, indexed [src][dst]. Row src is written only by PE
-  // thread src (external spawns have src == dst and skip the check).
-  std::vector<std::vector<std::uint8_t>> bp_armed_;
+  struct alignas(64) PeState {
+    WorkList work;
+    std::vector<OutBatch> out;           // [dst]
+    std::vector<std::uint8_t> bp_armed;  // [dst]
+    std::vector<std::span<const std::uint8_t>> views;  // split scratch
+    bool in_run = false;         // executing a pass's run
+    std::size_t run_pushed = 0;  // own tasks pushed during it, not counted
+    std::atomic<std::uint64_t> depth{0};       // work.size(), once per pass
+    std::atomic<std::uint64_t> high_water{0};  // deepest backlog published
+  };
+  std::vector<std::unique_ptr<PeState>> pes_;
   // Boundary summaries, one shard per (destination PE, plane): the epoch
   // and strongest priority already forwarded for each remote vertex index.
   // Flat arrays grown on demand under the shard spinlock; stale epochs are

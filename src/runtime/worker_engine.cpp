@@ -112,7 +112,7 @@ void WorkerEngine::spawn(Task t) {
   const PeId dst = t.d.pe;
   if (owns(dst)) {
     reg_.add(cur_pe_, obs::Counter::kLocalMessages);
-    q_.push_back(t);
+    q_.push(t);
     return;
   }
   reg_.add(cur_pe_, obs::Counter::kRemoteMessages);
@@ -131,15 +131,14 @@ void WorkerEngine::spawn(Task t) {
   if (b.size() >= kBatchCap) flush_batch(dst);
 }
 
-void WorkerEngine::exec_local(Task t) {
-  q_.push_back(std::move(t));
+void WorkerEngine::exec_local(const Task& t) {
+  q_.push(t);
   drain_local();
 }
 
 void WorkerEngine::drain_local() {
   while (!q_.empty()) {
-    const Task t = q_.front();
-    q_.pop_front();
+    const Task t = q_.pop();
     cur_pe_ = t.d.pe;
     reg_.observe(t.d.pe, obs::Hist::kMarkQueueDepth,
                  static_cast<double>(q_.size() + 1));
@@ -263,11 +262,13 @@ bool WorkerEngine::handle_data(const NetFrame& f) {
     fatal_ = true;
     return false;
   }
-  // Each message runs exactly as a frame of its own would; an undecodable
-  // task is counted (kMsgDecodeError) and skipped.
+  // Every task the batch carries joins the work list before any runs, so
+  // the strongest marks go first; an undecodable task is counted
+  // (kMsgDecodeError) and skipped.
   for (std::span<const std::uint8_t> m : in_msgs_)
     plane_.receive(f.dst, f.dst, m, [this] { return now_us(); },
-                   [this](const Task& t) { exec_local(t); });
+                   [this](const Task& t) { q_.push(t); });
+  drain_local();
   return true;
 }
 

@@ -14,9 +14,11 @@
 // kMarkReport for the controller to merge.
 //
 // Single-threadedness is load-bearing: frames are handled strictly in
-// arrival order and each task executes to completion (including its local
-// child cascade) before the next frame is read, so a kQuiesce can never
-// overtake work the controller already counted.
+// arrival order and each frame's tasks execute to completion (including
+// their local child cascade) before the next frame is read, so a kQuiesce
+// can never overtake work the controller already counted. Within that
+// cascade the tasks wait in the same WorkList as ThreadEngine's, M_R marks
+// highest priority first; a kData frame's tasks all join it before any runs.
 //
 // Outgoing marks are staged in one kData batch per destination PE and
 // written at fixed flush points: the end of every handled frame, the end of
@@ -29,7 +31,6 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <vector>
@@ -42,6 +43,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/message_plane.h"
+#include "runtime/work_list.h"
 #include "util/stats.h"
 
 namespace dgr {
@@ -73,7 +75,7 @@ class WorkerEngine final : public TaskSink {
   bool handle_frame(NetFrame f);
   bool dispatch(NetFrame& f);
   bool handle_data(const NetFrame& f);
-  void exec_local(Task t);
+  void exec_local(const Task& t);
   void drain_local();
   // Control frames: staged batches go out first.
   void send_frame(const NetFrame& f);
@@ -107,7 +109,7 @@ class WorkerEngine final : public TaskSink {
   WorkerConfig cfg_;
   Graph g_;
   Marker marker_;
-  std::deque<Task> q_;       // locally-owned tasks awaiting execution
+  WorkList q_;  // locally-owned tasks awaiting execution (runtime/work_list.h)
   // Staged outgoing kData frames, one per destination PE (empty = none).
   std::vector<std::vector<std::uint8_t>> out_;
   // Views into the kData batch being handled (reused across frames).

@@ -297,6 +297,59 @@ TEST(Analyze, ClusterMetricsDumpFillsWorkerRows) {
   EXPECT_NE(text.find("tele-drop"), std::string::npos);
 }
 
+// The rollup after killing worker 2 of 4: recovery re-placed the PEs, so
+// worker 1 owns the non-contiguous {1,3} and the dead worker owns none.
+// pe_begin/pe_count still hold each worker's registration block, which is
+// what the cluster section used to print ("1..2" and "2..2" here).
+const char* kKillDump =
+    "{\"num_pes\":4,\"totals\":{\"mark_tasks\":90},"
+    "\"pes\":[{\"pe\":0,\"counters\":{},\"hists\":{}},"
+    "{\"pe\":1,\"counters\":{},\"hists\":{}},"
+    "{\"pe\":2,\"counters\":{},\"hists\":{}},"
+    "{\"pe\":3,\"counters\":{},\"hists\":{}}],"
+    "\"num_workers\":4,\"workers\":["
+    "{\"worker\":0,\"pe_begin\":0,\"pe_count\":1,\"owned_pes\":[0],"
+    "\"alive\":true,\"marks\":50},"
+    "{\"worker\":1,\"pe_begin\":1,\"pe_count\":2,\"owned_pes\":[1,3],"
+    "\"alive\":true,\"marks\":40},"
+    "{\"worker\":2,\"pe_begin\":2,\"pe_count\":0,\"owned_pes\":[],"
+    "\"alive\":false,\"marks\":7},"
+    "{\"worker\":3,\"pe_begin\":3,\"pe_count\":1,\"owned_pes\":[2],"
+    "\"alive\":true,\"marks\":9}],"
+    "\"membership\":{\"gen\":1,\"workers_total\":4,\"workers_live\":3,"
+    "\"worker_lost\":1,\"partition_reassigned\":4}}";
+
+TEST(Analyze, ClusterSectionPrintsOwnedPeSetsAfterAKill) {
+  TraceReport r = analyze({});
+  ASSERT_TRUE(enrich_with_metrics_json(r, kKillDump));
+  ASSERT_EQ(r.workers.size(), 4u);
+  EXPECT_EQ(r.workers[0].pes, (std::vector<std::uint32_t>{0}));
+  EXPECT_EQ(r.workers[1].pes, (std::vector<std::uint32_t>{1, 3}));
+  EXPECT_TRUE(r.workers[2].pes.empty());
+  EXPECT_EQ(r.workers[3].pes, (std::vector<std::uint32_t>{2}));
+  const std::string text = report_to_text(r);
+  EXPECT_NE(text.find("{1,3}"), std::string::npos) << text;
+  EXPECT_NE(text.find("{2}"), std::string::npos) << text;
+  EXPECT_EQ(text.find("1..2"), std::string::npos) << text;
+  EXPECT_EQ(text.find("2..2"), std::string::npos) << text;
+  // The dead worker's row shows "-" in the pes column.
+  const std::size_t row = text.find("\n     2 ");
+  ASSERT_NE(row, std::string::npos) << text;
+  EXPECT_EQ(text.compare(row + 8, 9, "        -"), 0) << text;
+  const std::string json = report_to_json(r);
+  expect_balanced_json(json);
+  EXPECT_NE(json.find("\"owned_pes\":[1,3]"), std::string::npos);
+  EXPECT_NE(json.find("\"owned_pes\":[]"), std::string::npos);
+}
+
+TEST(Analyze, ClusterDumpWithoutOwnedPesReadsTheRegistrationBlock) {
+  TraceReport r = analyze({});
+  ASSERT_TRUE(enrich_with_metrics_json(r, kClusterDump));
+  ASSERT_EQ(r.workers.size(), 2u);
+  EXPECT_EQ(r.workers[0].pes, (std::vector<std::uint32_t>{0}));
+  EXPECT_EQ(r.workers[1].pes, (std::vector<std::uint32_t>{1}));
+}
+
 TEST(Analyze, ChromeClusterExportLanesPerProcess) {
   // Controller events on pid 0; each worker's (already-rebased) events on
   // pid w+1 with per-PE named threads; drop markers render as instants.

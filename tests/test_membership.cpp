@@ -26,6 +26,7 @@
 #include "net/frame.h"
 #include "net/proto.h"
 #include "net/socket.h"
+#include "obs/analyze.h"
 #include "runtime/proc_engine.h"
 #include "util/rng.h"
 
@@ -270,6 +271,18 @@ TEST(Membership, RecoveryLeavesNoSurvivorIdle) {
   }
   EXPECT_EQ(live_rows, 3u) << json;
   EXPECT_GT(rig.eng().stats().partitions_reassigned, 0u);
+
+  // dgr_analyze's cluster section reads the owned sets: the dead worker
+  // holds none, and the survivors' sets partition the PEs.
+  obs::TraceReport report = obs::analyze({});
+  ASSERT_TRUE(obs::enrich_with_metrics_json(report, full));
+  ASSERT_EQ(report.workers.size(), 4u);
+  EXPECT_TRUE(report.workers[1].pes.empty()) << json;
+  std::vector<std::uint32_t> all;
+  for (const obs::WorkerRow& w : report.workers)
+    all.insert(all.end(), w.pes.begin(), w.pes.end());
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(all, (std::vector<std::uint32_t>{0, 1, 2, 3})) << json;
 
   rig.cycle_checked(true, 1);
   if (::testing::Test::HasFatalFailure()) return;

@@ -1,12 +1,15 @@
 // Unit tests for the priority task pool (§3.2 item 1: vital tasks compete
 // with eager ones — the pool always serves the highest class) and its
-// restructuring pass, checked against the erase-in-loop reference, the per-PE
-// mailbox (batch delivery / batch drain), and fuzz tests for the wire codec.
+// restructuring pass, checked against the erase-in-loop reference, the PE
+// work list's drain order, the per-PE mailbox (task-counted delivery and
+// drain), and fuzz tests for the wire codec.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <deque>
 #include <functional>
 #include <map>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -14,6 +17,7 @@
 #include "net/wire.h"
 #include "runtime/pool.h"
 #include "runtime/sim_engine.h"
+#include "runtime/work_list.h"
 
 namespace dgr {
 namespace {
@@ -299,54 +303,112 @@ TEST(TaskPool, ForEachSeesEverything) {
   EXPECT_EQ(sum, 36u);
 }
 
-// ---- Mailbox: batch delivery and batch drain over the MPMC queue. ----
+// ---- WorkList: M_R marks by priority, everything else in arrival order. ----
+
+TEST(WorkList, DrainsMrMarksByPriorityThenTheRestInArrivalOrder) {
+  const auto mark = [](Plane p, std::uint8_t prior, std::uint32_t idx) {
+    return Task::mark(p, VertexId{0, idx}, VertexId{0, 0}, prior);
+  };
+  WorkList w;
+  w.push(Task::mark_return(Plane::kR, VertexId{0, 1}));
+  w.push(mark(Plane::kR, 1, 2));
+  w.push(mark(Plane::kT, 0, 3));
+  w.push(mark(Plane::kR, 2, 4));
+  w.push(mark(Plane::kR, 3, 5));
+  w.push(Task::mark_return(Plane::kT, VertexId{0, 6}));
+  w.push(mark(Plane::kR, 2, 7));
+  w.push(mark(Plane::kR, 3, 8));
+  w.push(mark(Plane::kR, 1, 9));
+  w.push(Task::mark_return(Plane::kR, VertexId{0, 10}));
+  w.push(mark(Plane::kR, 0, 11));  // priority-free mark1: arrival order
+  EXPECT_EQ(w.size(), 11u);
+  std::vector<std::uint32_t> order;
+  while (!w.empty()) order.push_back(w.pop().d.idx);
+  // 3s, 2s, 1s (FIFO within each), then returns, M_T marks and mark1 in
+  // the order they arrived.
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{5, 8, 4, 7, 2, 9, 1, 3, 6, 10,
+                                               11}));
+  EXPECT_EQ(w.size(), 0u);
+}
+
+TEST(WorkList, StrongerMarkOvertakesQueuedWeakerOnes) {
+  WorkList w;
+  for (std::uint32_t i = 0; i < 3000; ++i)
+    w.push(Task::mark(Plane::kR, VertexId{0, i}, VertexId{0, 0}, 1));
+  for (std::uint32_t i = 0; i < 1500; ++i) EXPECT_EQ(w.pop().d.idx, i);
+  w.push(Task::mark(Plane::kR, VertexId{1, 7}, VertexId{0, 0}, 3));
+  w.push(Task::mark(Plane::kR, VertexId{1, 8}, VertexId{0, 0}, 2));
+  EXPECT_EQ(w.pop().d, (VertexId{1, 7}));
+  EXPECT_EQ(w.pop().d, (VertexId{1, 8}));
+  for (std::uint32_t i = 1500; i < 3000; ++i) EXPECT_EQ(w.pop().d.idx, i);
+  EXPECT_TRUE(w.empty());
+  w.push(Task::mark_return(Plane::kR, VertexId{0, 4}));
+  w.clear();
+  EXPECT_TRUE(w.empty());
+}
+
+// ---- Mailbox: task-counted delivery and drain. ----
 
 Mailbox::Bytes msg(std::uint8_t tag, std::size_t n = 8) {
   return Mailbox::Bytes(n, tag);
 }
 
-TEST(Mailbox, DeliverBatchCountsOnceAndPreservesOrder) {
+TEST(Mailbox, CountsTasksNotMessages) {
   Mailbox mb;
-  mb.deliver(msg(0));
-  std::vector<Mailbox::Bytes> batch;
-  for (std::uint8_t i = 1; i <= 4; ++i) batch.push_back(msg(i, 4 + i));
-  mb.deliver_batch(std::move(batch));
-  EXPECT_EQ(mb.pending(), 5u);
-  EXPECT_EQ(mb.messages_received(), 5u);
-  EXPECT_EQ(mb.bytes_received(), 8u + 5 + 6 + 7 + 8);
-  for (std::uint8_t i = 0; i <= 4; ++i) {
-    const std::optional<Mailbox::Bytes> m = mb.try_receive();
-    ASSERT_TRUE(m.has_value());
-    EXPECT_EQ((*m)[0], i);  // batch lands behind earlier traffic, in order
-  }
-  EXPECT_FALSE(mb.try_receive().has_value());
+  mb.deliver(msg(0), 1);
+  mb.deliver(msg(1, 40), 30);
+  mb.deliver(msg(2), 0);  // e.g. a channel ack frame
+  EXPECT_EQ(mb.pending(), 31u);
+  EXPECT_EQ(mb.high_water(), 31u);
 }
 
-TEST(Mailbox, DrainTakesUpToNInDeliveryOrder) {
+TEST(Mailbox, DrainTakesWholeMessagesUpToATaskBudget) {
   Mailbox mb;
-  for (std::uint8_t i = 0; i < 10; ++i) mb.deliver(msg(i));
-  std::vector<Mailbox::Bytes> out;
-  EXPECT_EQ(mb.drain(4, out), 4u);
-  EXPECT_EQ(mb.pending(), 6u);
-  EXPECT_EQ(mb.drain(100, out), 6u);  // appends; never blocks when short
+  for (std::uint8_t i = 0; i < 10; ++i) mb.deliver(msg(i), 5);
+  std::vector<Mailbox::Msg> out;
+  EXPECT_EQ(mb.drain(12, out), 15u);  // stops once the budget is reached
+  EXPECT_EQ(mb.pending(), 35u);
+  EXPECT_EQ(mb.drain(1, out), 5u);  // the first message, whatever its size
+  EXPECT_EQ(mb.drain(100, out), 30u);  // appends; never blocks when short
   EXPECT_EQ(mb.drain(100, out), 0u);
   ASSERT_EQ(out.size(), 10u);
-  for (std::uint8_t i = 0; i < 10; ++i) EXPECT_EQ(out[i][0], i);
+  for (std::uint8_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(out[i].bytes[0], i);  // delivery order
+    EXPECT_EQ(out[i].tasks, 5u);
+  }
+  EXPECT_EQ(mb.pending(), 0u);
+  EXPECT_EQ(mb.drain_wait(100, out, 10), 0u);  // times out empty
 }
 
-TEST(Mailbox, HighWaterTracksBatchDepth) {
+TEST(Mailbox, WakeEndsAParkedDrainEmptyHanded) {
   Mailbox mb;
-  mb.deliver(msg(1));
+  std::vector<Mailbox::Msg> out;
+  std::thread waker([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    mb.wake();
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(mb.drain_wait(64, out, 60'000'000), 0u);  // would park 60 s
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(30));
+  waker.join();
+  EXPECT_TRUE(out.empty());
+  mb.wake();  // a wake with no waiter ends the next park at once
+  EXPECT_EQ(mb.drain_wait(64, out, 60'000'000), 0u);
+  mb.deliver(msg(1), 3);  // and is spent: mail still drains as usual
+  EXPECT_EQ(mb.drain_wait(64, out, 0), 3u);
+}
+
+TEST(Mailbox, HighWaterIsMonotoneInTasks) {
+  Mailbox mb;
+  mb.deliver(msg(1), 1);
   EXPECT_EQ(mb.high_water(), 1u);
-  std::vector<Mailbox::Bytes> batch(7, msg(2));
-  mb.deliver_batch(std::move(batch));
-  EXPECT_EQ(mb.high_water(), 8u);  // depth observed once, after the batch
-  std::vector<Mailbox::Bytes> out;
+  mb.deliver(msg(2), 7);
+  EXPECT_EQ(mb.high_water(), 8u);
+  std::vector<Mailbox::Msg> out;
   mb.drain(8, out);
-  mb.deliver(msg(3));
+  mb.deliver(msg(3), 2);
   EXPECT_EQ(mb.high_water(), 8u);  // monotone
-  mb.deliver_batch({});            // empty batch is a no-op
-  EXPECT_EQ(mb.messages_received(), 9u);
+  EXPECT_EQ(mb.pending(), 2u);
 }
 
 // ---- Wire codec fuzz: random tasks must round-trip bit-exactly. ----

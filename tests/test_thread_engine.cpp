@@ -476,6 +476,89 @@ TEST(ThreadEngineLocality, StealingMovesTasksAndAgreesWithOracle) {
   });
 }
 
+// ---- Priority-ordered work lists. ----
+
+// One PE runs every task from its own work list, strongest M_R mark first,
+// so each vertex is first marked at its final priority: no upgrade re-mark,
+// and no task is ever encoded (the root seed arrives as a batch of one from
+// outside, which is not a cross-PE send).
+TEST(ThreadEngineOrder, OnePeCycleHasNoRemarksAndSendsNoBytes) {
+  Graph g = make_presized(1, 8192 + 64);
+  RandomGraphOptions opt;
+  opt.num_vertices = 8192;
+  opt.avg_out_degree = 3.0;
+  opt.p_detached = 0.2;
+  opt.num_tasks = 0;
+  opt.seed = 1;
+  const BuiltGraph b = build_random_graph(g, opt);
+  Oracle o(g, b.root, {});
+  const std::size_t expected_gar = o.count_GAR();
+  ThreadEngine eng(g);
+  eng.set_root(b.root);
+  eng.start();
+  CycleOptions copt;
+  copt.detect_deadlock = false;
+  eng.controller().start_cycle(copt);
+  eng.wait_cycle_done();
+  eng.stop();
+  const MarkStats& mr = eng.marker().stats(Plane::kR);
+  EXPECT_GT(mr.marks.load(), 8000u);
+  EXPECT_EQ(mr.remarks.load(), 0u);
+  EXPECT_EQ(eng.metrics_registry().total(obs::Counter::kBytesSent), 0u);
+  EXPECT_EQ(eng.metrics_registry().total(obs::Counter::kRemoteMessages), 0u);
+  EXPECT_EQ(eng.controller().last().swept, expected_gar);
+  for (VertexId v : b.vertices) {
+    if (g.is_free(v)) continue;
+    EXPECT_EQ(eng.marker().is_marked(Plane::kR, v), o.in_R(v));
+    EXPECT_EQ(eng.marker().prior(Plane::kR, v), o.prior_at(v));
+  }
+}
+
+// The paper's re-mark case on an ordered engine: x (PE 1) is reached by an
+// eager path root -e-> y -v-> x and by a vital path root -v-> z -v-> w -v-> x
+// that crosses to PE 0 and back. The root's marks for y and z leave PE 0 in
+// one batch; PE 1 runs z first (priority order), but z's child w is staged
+// until PE 1 has run y, x and x's subtree at priority 2. The vital mark
+// therefore reaches x late, from the other PE, whatever the timing, and
+// must upgrade it (Fig 5-1) and re-trace the subtree; the result is still
+// exact.
+TEST(ThreadEngineOrder, LateVitalArrivalFromAnotherPeForcesUpgrade) {
+  Graph g = make_presized(2, 64);
+  const VertexId root = g.alloc(0, OpCode::kData);
+  const VertexId y = g.alloc(1, OpCode::kData);
+  const VertexId z = g.alloc(1, OpCode::kData);
+  const VertexId w = g.alloc(0, OpCode::kData);
+  const VertexId x = g.alloc(1, OpCode::kData);
+  connect(g, root, y, ReqKind::kEager);
+  connect(g, root, z, ReqKind::kVital);
+  connect(g, y, x, ReqKind::kVital);
+  connect(g, z, w, ReqKind::kVital);
+  connect(g, w, x, ReqKind::kVital);
+  VertexId prev = x;
+  for (int i = 0; i < 16; ++i) {
+    const VertexId t = g.alloc(1, OpCode::kData);
+    connect(g, prev, t, ReqKind::kVital);
+    prev = t;
+  }
+  Oracle o(g, root, {});
+  ThreadEngine eng(g);
+  eng.set_root(root);
+  eng.start();
+  CycleOptions copt;
+  copt.detect_deadlock = false;
+  eng.controller().start_cycle(copt);
+  eng.wait_cycle_done();
+  eng.stop();
+  // One upgrade each for x and the 16 vertices below it.
+  EXPECT_EQ(eng.marker().stats(Plane::kR).remarks.load(), 17u);
+  EXPECT_EQ(eng.marker().prior(Plane::kR, y), 2);
+  EXPECT_EQ(eng.marker().prior(Plane::kR, x), 3);
+  g.for_each_live([&](VertexId v) {
+    EXPECT_EQ(eng.marker().is_marked(Plane::kR, v), o.in_R(v));
+    EXPECT_EQ(eng.marker().prior(Plane::kR, v), o.prior_at(v));
+  });
+}
+
 // ---- Online health auditing (safe-point audits + watchdog). ----
 
 TEST(ThreadEngine, SafePointAuditCleanOnStaticGraph) {

@@ -103,18 +103,31 @@ def check_file(name, base_path, cur_path, max_regress):
     return failures
 
 
+def load_nproc(path):
+    """The nproc of a BENCH_*.json's host context block, or None."""
+    with open(path) as f:
+        return json.load(f).get("context", {}).get("nproc")
+
+
 def check_scaling_gate(path, label):
     """Multi-PE marking must beat single-PE on wall-clock marks/s.
 
     This is the 2-PE-cliff contract: in BENCH_marking_scale.json at `path`,
-    BM_ThreadedCycle/{2,4,8} must each exceed BM_ThreadedCycle/1 on the
-    wall-clock marks/s counter. Applied to the committed baseline (the
-    reference machine's record — deterministic in CI); the current run's
-    values are printed alongside for drift tracking but only gate when
-    --scaling-gate-current is given (smoke-mode timings are too noisy to
-    fail CI on).
+    every BM_ThreadedCycle/{2,4,8} leg whose PE count fits the recording
+    host's cores (context.nproc) must exceed BM_ThreadedCycle/1 on the
+    wall-clock marks/s counter. A leg with more PEs than cores oversubscribes
+    them, so whether it beats /1 says nothing about the engine; it is printed
+    and not judged. A file without a context block cannot be judged at all.
+    Applied to the committed baseline (the reference machine's record —
+    deterministic in CI); the current run's values are printed alongside for
+    drift tracking but only gate when --scaling-gate-current is given
+    (smoke-mode timings are too noisy to fail CI on).
     """
     runs = load_runs(path)
+    nproc = load_nproc(path)
+    if not nproc:
+        return ["scaling-gate(%s): %s has no context.nproc, so no leg can be "
+                "judged; re-record it (docs/PERF.md)" % (label, path)]
 
     def marks_per_s(stem):
         # The bench uses UseRealTime, which suffixes names with /real_time;
@@ -133,6 +146,10 @@ def check_scaling_gate(path, label):
     for pes in (2, 4, 8):
         name = "BM_ThreadedCycle/%d" % pes
         v = marks_per_s(name)
+        if pes > nproc:
+            print("scaling-gate(%s): %s not judged: %d PEs > nproc %d" %
+                  (label, name, pes, nproc))
+            continue
         if v is None:
             failures.append("scaling-gate(%s): %s marks/s missing from %s" %
                             (label, name, path))
@@ -270,8 +287,9 @@ def main():
                     help="require batched/unbatched cross-PE tasks/s in the "
                          "current BENCH_latency.json to be at least this")
     ap.add_argument("--scaling-gate", action="store_true",
-                    help="require BM_ThreadedCycle/{2,4,8} marks/s to each "
-                         "beat /1 in the committed baseline "
+                    help="require each BM_ThreadedCycle/{2,4,8} leg with no "
+                         "more PEs than the recording host's nproc to beat "
+                         "/1 on marks/s in the committed baseline "
                          "BENCH_marking_scale.json (the 2-PE-cliff contract)")
     ap.add_argument("--scaling-gate-current", action="store_true",
                     help="additionally enforce the scaling gate on the "
