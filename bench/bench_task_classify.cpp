@@ -3,7 +3,9 @@
 // eager / reserve / irrelevant through the destination's marked priority,
 // agreeing exactly with the sequential reachability oracle; irrelevant tasks
 // are expunged by the restructuring phase. BM_PoolRestructure times that
-// phase's pass over one task pool.
+// phase's pass over one executing task pool (SimEngine's), and
+// BM_TaskIndexRestructure over one inert, destination-indexed pool
+// (ThreadEngine's and ProcEngine's).
 #include "bench/bench_common.h"
 #include "runtime/pool.h"
 
@@ -111,6 +113,35 @@ void BM_PoolRestructure(benchmark::State& state) {
                                   benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_PoolRestructure)->Arg(1000)->Arg(10000)->Arg(100000)
+    ->Unit(benchmark::kMicrosecond);
+
+// The same pass over the inert pool, which decides once per destination:
+// n tasks from n distinct sources aimed at 16 destinations, and the even
+// destinations flip between vital and reserve on every pass, so half the
+// groups change bucket each time. The pass visits groups, not tasks, so the
+// time per pass should stay flat as n grows.
+void BM_TaskIndexRestructure(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  constexpr std::uint32_t kDests = 16;
+  TaskIndex index;
+  for (std::uint32_t i = 0; i < n; ++i)
+    index.push(Task::request(VertexId{0, kDests + i}, VertexId{0, i % kDests},
+                             ReqKind::kVital));
+  std::uint8_t even_prior = 3;
+  const auto kill_none = [](VertexId) { return false; };
+  const auto flip = [&](VertexId d) {
+    return d.idx % 2 == 0 ? even_prior : std::uint8_t{3};
+  };
+  for (auto _ : state) {
+    even_prior = even_prior == 3 ? 1 : 3;
+    benchmark::DoNotOptimize(index.restructure(kill_none, flip).reprioritized);
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+  state.counters["time_per_task"] = benchmark::Counter(
+      static_cast<double>(n), benchmark::Counter::kIsIterationInvariantRate |
+                                  benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_TaskIndexRestructure)->Arg(1000)->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

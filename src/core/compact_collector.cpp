@@ -33,10 +33,9 @@ void CompactCollector::restructure() {
     return vx.live && !vx.aux && !marker_.is_marked(v);
   };
 
-  const TaskRestructure tr = hooks_.restructure_tasks(
-      [&](const Task& t) { return in_gar(t.d); },
-      [&](const Task& t) {
-        const std::uint8_t p = marker_.prior(t.d);
+  const TaskRestructure tr =
+      hooks_.restructure_tasks(in_gar, [&](VertexId d) {
+        const std::uint8_t p = marker_.prior(d);
         return p ? p : std::uint8_t{1};
       });
   res.expunged = tr.expunged;

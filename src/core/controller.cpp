@@ -63,8 +63,8 @@ VertexId Controller::build_task_roots() {
   // task in taskpool(i) }, args(troot) = { taskroot_i }. We assign a task's
   // endpoints to the taskroot of the PE owning its destination (where the
   // task pools or will execute), which also covers in-transit tasks.
-  std::vector<TaskRef> refs;
-  hooks_.collect_task_refs(refs);
+  endpoints_.clear();
+  hooks_.collect_task_endpoints(endpoints_);
 
   // Clear any stale endpoints from the previous cycle.
   for (PeId pe = 0; pe < g_.num_pes(); ++pe) {
@@ -88,11 +88,7 @@ VertexId Controller::build_task_roots() {
     // Unrequested edges: mark3 traces args(v) − req-args(v).
     g_.at(tr).args.emplace_back(v, ReqKind::kNone);
   };
-  for (const TaskRef& t : refs) {
-    const PeId pool_pe = t.d.valid() ? t.d.pe : 0;
-    attach(pool_pe, t.s);
-    attach(pool_pe, t.d);
-  }
+  for (const TaskEndpoint& e : endpoints_) attach(e.pool, e.v);
 
   if (!troot_.valid()) troot_ = g_.store(0).make_aux(OpCode::kTRoot);
   Vertex& tv = g_.at(troot_);
@@ -155,32 +151,42 @@ void Controller::run_restructure() {
 void Controller::restructure() {
   hooks_.quiesce_begin();
 
-  // (d) Deadlock report: DL'_v = R'_v − T' (Theorem 2). Only valid when M_T
-  // ran this cycle and no mutation tainted the T plane.
-  cur_.deadlock_report_valid =
-      cur_.ran_mt && !marker_.cycle_tainted(Plane::kT);
-  if (cur_.deadlock_report_valid) {
-    g_.for_each_live([&](VertexId v) {
-      // Evaluated vertices are exempt: deadlock means the value is awaited
-      // yet can never be computed (reduction axiom 5 speaks of vertices
-      // whose value "is never computed"). A finished root is in R_v − T but
-      // is certainly not deadlocked.
-      if (marker_.is_marked(Plane::kR, v) && marker_.prior(Plane::kR, v) == 3 &&
-          !marker_.is_marked(Plane::kT, v) && !g_.at(v).value.defined())
-        cur_.deadlocked.push_back(v);
-    });
-  }
-
-  // (b) Expunge irrelevant tasks BEFORE sweeping, so no surviving task
-  // targets a freed vertex and in_gar sees pre-sweep liveness.
-  // IRR' = { <s,d> | d ∈ GAR' } (Property 6 / Corollary 1);
-  // GAR' = live ∧ ¬aux ∧ ¬marked_R.
+  // GAR' = live ∧ ¬aux ∧ ¬marked_R, read before the sweep.
   auto in_gar = [&](VertexId v) {
     if (!v.valid()) return false;
     const Vertex& vx = g_.at(v);
     return vx.live && !vx.aux && !marker_.is_marked(Plane::kR, v);
   };
-  if (cur_.deadlock_report_valid) {
+
+  // One pass over the store serves three jobs. Nothing after it changes a
+  // mark or a liveness bit before the sweep (restructure_tasks touches only
+  // the task population, drop_requester only `requested`, and
+  // Store::release resets a freed vertex's stale-waiter list itself), so
+  // each job sees what it would see in a pass of its own.
+  //   (d) Deadlock report: DL'_v = R'_v − T' (Theorem 2). Only valid when
+  //       M_T ran this cycle and no mutation tainted the T plane. Evaluated
+  //       vertices are exempt: deadlock means the value is awaited yet can
+  //       never be computed (reduction axiom 5 speaks of vertices whose
+  //       value "is never computed"). A finished root is in R_v − T but is
+  //       certainly not deadlocked.
+  //   (a) The garbage to sweep.
+  //   Stale-waiter lists (in-transit ↦-edge accounting, see
+  //   Vertex::stale_requested) have served their purpose for this cycle's
+  //   M_T.
+  cur_.deadlock_report_valid =
+      cur_.ran_mt && !marker_.cycle_tainted(Plane::kT);
+  const bool report = cur_.deadlock_report_valid;
+  std::vector<VertexId> garbage;
+  g_.for_each_live([&](VertexId v) {
+    Vertex& vx = g_.at(v);
+    if (report && marker_.is_marked(Plane::kR, v) &&
+        marker_.prior(Plane::kR, v) == 3 && !marker_.is_marked(Plane::kT, v) &&
+        !vx.value.defined())
+      cur_.deadlocked.push_back(v);
+    if (in_gar(v)) garbage.push_back(v);
+    vx.stale_requested.clear();
+  });
+  if (report) {
     DGR_TRACE_EVENT(trace_, obs::EventType::kDeadlockReport, Plane::kT, 0,
                     cur_.cycle, cur_.deadlocked.size());
     // Evidence chain for the post-mortem analyzer: name each DL'_v member
@@ -190,14 +196,15 @@ void Controller::restructure() {
                       v.pe, cur_.cycle, v.idx);
   }
 
-  // (c) Dynamic task prioritization, in the same pass: a surviving task's
-  // priority becomes the marked priority of its destination (vital=3,
-  // eager=2, reserve=1). No survivor's destination is swept, so the sweep
-  // cannot change it.
+  // (b) Expunge irrelevant tasks BEFORE sweeping, so no surviving task
+  // targets a freed vertex: IRR' = { <s,d> | d ∈ GAR' } (Property 6 /
+  // Corollary 1). (c) Dynamic task prioritization, in the same pass: a
+  // surviving task's priority becomes the marked priority of its
+  // destination (vital=3, eager=2, reserve=1). No survivor's destination is
+  // swept, so the sweep cannot change it.
   const TaskRestructure tr = hooks_.restructure_tasks(
-      [&](const Task& t) { return in_gar(t.d); },
-      [&](const Task& t) {
-        const std::uint8_t p = marker_.prior(Plane::kR, t.d);
+      in_gar, [&](VertexId d) {
+        const std::uint8_t p = marker_.prior(Plane::kR, d);
         return p ? p : std::uint8_t{1};
       });
   cur_.expunged = tr.expunged;
@@ -217,10 +224,6 @@ void Controller::restructure() {
   // (a) Sweep. First purge requested-back-edges originating at garbage
   // (a garbage requester w with a pending request w→x leaves w inside
   // requested(x); x would later "reply" into a freed slot). Then release.
-  std::vector<VertexId> garbage;
-  g_.for_each_live([&](VertexId v) {
-    if (in_gar(v)) garbage.push_back(v);
-  });
   if (paranoid_) {
     const Oracle oracle(g_, roots_.size() == 1 ? roots_[0] : uroot_, {});
     for (VertexId w : garbage) {
@@ -242,10 +245,6 @@ void Controller::restructure() {
   cur_.swept = garbage.size();
   DGR_TRACE_EVENT(trace_, obs::EventType::kSweep, Plane::kR, 0, cur_.cycle,
                   cur_.swept);
-
-  // Stale-waiter lists (in-transit ↦-edge accounting, see
-  // Vertex::stale_requested) have served their purpose for this cycle's M_T.
-  g_.for_each_live([&](VertexId v) { g_.at(v).stale_requested.clear(); });
 
   DGR_TRACE_EVENT(trace_, obs::EventType::kReprioritize, Plane::kR, 0,
                   cur_.cycle, cur_.reprioritized);

@@ -15,7 +15,9 @@
 //   (b) expunge: pooled/in-flight reduction tasks with d ∈ GAR' (Property 6),
 //   (c) reprioritize: pooled task priority := prior(d) (Properties 3-5),
 //   (d) report deadlocked vertices R'_v − T' (Property 2').
-// (b) and (c) are one pass over the task population, made before (a).
+// (b) and (c) are one pass over the task population, decided per
+// destination and made before (a); (d), (a)'s garbage scan and the reset of
+// the stale-waiter lists are one pass over the store.
 #pragma once
 
 #include <atomic>
@@ -25,7 +27,6 @@
 
 #include "core/marker.h"
 #include "core/task.h"
-#include "graph/task_ref.h"
 
 namespace dgr {
 
@@ -47,6 +48,14 @@ struct CycleResult {
   MarkStats stats_t;
 };
 
+// One endpoint of an unexecuted reduction task, with the PE whose taskroot
+// takes it: the PE owning the task's destination, where it pools or will
+// execute.
+struct TaskEndpoint {
+  PeId pool = 0;
+  VertexId v;
+};
+
 // What the controller needs from the engine: access to the task population
 // (pools plus in-transit messages) and a quiescence fence for the brief
 // restructuring phase (a no-op in the simulator; a short barrier in the
@@ -55,16 +64,19 @@ class EngineHooks {
  public:
   virtual ~EngineHooks() = default;
 
-  // Append <s,d> for every unexecuted reduction task: pooled and in transit.
-  // This is the in-transit accounting the paper defers to [5].
-  virtual void collect_task_refs(std::vector<TaskRef>& out) = 0;
+  // Append the endpoints of every unexecuted reduction task, pooled and in
+  // transit: the §5.2 sets args(taskroot_i). Repeats, invalid sources and
+  // dead vertices may appear; the controller drops them. This is the
+  // in-transit accounting the paper defers to [5].
+  virtual void collect_task_endpoints(std::vector<TaskEndpoint>& out) = 0;
 
-  // The task half of restructuring, one locked traversal per pool: delete
-  // every reduction task for which kill(task) is true (expunge), and set each
-  // survivor's pool priority to prio(task) (reprioritize).
+  // The task half of restructuring, decided per destination d (IRR' and the
+  // task classes depend on d alone, Properties 3-6): delete every reduction
+  // task with kill(d) (expunge), and set each survivor's pool priority to
+  // prio(d) (reprioritize). Both counts in the result are per task.
   virtual TaskRestructure restructure_tasks(
-      const std::function<bool(const Task&)>& kill,
-      const std::function<std::uint8_t(const Task&)>& prio) = 0;
+      const std::function<bool(VertexId)>& kill,
+      const std::function<std::uint8_t(VertexId)>& prio) = 0;
 
   virtual void quiesce_begin() {}
   virtual void quiesce_end() {}
@@ -193,6 +205,8 @@ class Controller {
   std::atomic<std::uint64_t> cycles_{0};
   std::uint64_t total_swept_ = 0;
   std::uint64_t total_expunged_ = 0;
+  // build_task_roots' scratch: the engine's task endpoints.
+  std::vector<TaskEndpoint> endpoints_;
   // build_task_roots' dedup: task_seen_[pool_pe * P + v.pe][v.idx] equals
   // task_stamp_ once v is attached to taskroot(pool_pe) in this build.
   std::vector<std::vector<std::uint32_t>> task_seen_;

@@ -11,7 +11,6 @@
 #include <string>
 #include <thread>
 
-#include "graph/partitioner.h"
 #include "net/wire.h"
 #include "util/assert.h"
 #include "util/log.h"
@@ -66,8 +65,7 @@ ProcEngine::ProcEngine(Graph& g, ProcOptions opt)
   force_full_.assign(num_workers_, 1);  // first handoff is always a snapshot
   reported_.assign(num_workers_, 0);
 
-  for (PeId pe = 0; pe < g_.num_pes(); ++pe)
-    pools_.push_back(std::make_unique<TaskPool>());
+  pools_.resize(g_.num_pes());
 
   // Rescue waves reopen the plane before any seed is spawned; replicas must
   // learn both (and the controller-minted rescue root's record, which the
@@ -277,7 +275,7 @@ std::uint32_t ProcEngine::live_count_locked() const {
 
 void ProcEngine::inject(Task t) {
   std::lock_guard<std::recursive_mutex> lk(mu_);
-  pools_[t.d.pe]->push(std::move(t));
+  pools_[t.d.pe].push(t);
 }
 
 void ProcEngine::on_plane_begin(Plane p) {
@@ -332,7 +330,7 @@ void ProcEngine::on_plane_begin(Plane p) {
 void ProcEngine::spawn(Task t) {
   std::lock_guard<std::recursive_mutex> lk(mu_);
   if (!task_is_marking(t.kind)) {
-    pools_[t.d.pe]->push(std::move(t));
+    pools_[t.d.pe].push(t);
     return;
   }
   if (begin_pending_) {
@@ -546,55 +544,53 @@ void ProcEngine::on_worker_lost(std::uint32_t worker) {
 }
 
 std::vector<PeId> ProcEngine::repartition_onto_survivors() {
-  // Caller holds mu_. Reassign ALL PEs across the survivors with the same
-  // pluggable partitioner the workload builders use, in PE space: each PE is
-  // a "position", each surviving worker a "bin", and cross-PE args supply
-  // the adjacency (duplicates act as edge weights — the greedy placer sees
-  // hot PE pairs more often and co-locates them). Returns the PEs whose
-  // owner changed.
+  // Caller holds mu_. Survivors keep the PEs they hold; only the dead
+  // workers' PEs move. Each goes to the survivor holding the fewest PEs,
+  // ties broken by the cross-PE argument edges between it and that
+  // survivor's PEs (hot PE pairs co-locate), then by worker index. Fewest-first hands an idle survivor a PE before any
+  // busy one gets a second, so no survivor sits idle while PEs remain to
+  // share. Returns the PEs whose owner changed, in ascending order.
   std::vector<std::uint32_t> survivors;
-  for (std::uint32_t w = 0; w < num_workers_; ++w)
-    if (slots_[w].alive) survivors.push_back(w);
-  DGR_CHECK(!survivors.empty());
-  const std::uint32_t P = g_.num_pes();
-  std::vector<IndexEdge> edges;
-  g_.for_each_live([&](VertexId v) {
-    for (const ArgEdge& e : g_.at(v).args)
-      if (e.to.valid() && e.to.pe != v.pe)
-        edges.push_back(IndexEdge{v.pe, e.to.pe});
-  });
-  const auto part = make_partitioner(PartitionStrategy::kGreedy);
-  const auto bins = static_cast<std::uint32_t>(survivors.size());
-  const std::uint32_t cap = (P + bins - 1) / bins;
-  std::vector<PeId> asg = part->assign(P, bins, edges, cap);
-
-  std::vector<std::uint32_t> prev_owner(P, kAnyWorkerIndex);
-  for (std::uint32_t w = 0; w < num_workers_; ++w)
-    for (PeId pe : slots_[w].pes) prev_owner[pe] = w;
-  // The greedy placer co-locates heavily connected PEs and may leave a bin
-  // empty. A survivor must not sit idle while PEs remain to share: give each
-  // empty bin the first PE of the fullest bin.
-  if (P >= bins) {
-    std::vector<std::uint32_t> load(bins, 0);
-    for (PeId pe = 0; pe < P; ++pe) ++load[asg[pe]];
-    for (std::uint32_t b = 0; b < bins; ++b) {
-      if (load[b] != 0) continue;
-      const auto donor = static_cast<std::uint32_t>(
-          std::max_element(load.begin(), load.end()) - load.begin());
-      const auto pick = static_cast<PeId>(
-          std::find(asg.begin(), asg.end(), donor) - asg.begin());
-      asg[pick] = b;
-      --load[donor];
-      ++load[b];
+  std::vector<PeId> moved;
+  for (std::uint32_t w = 0; w < num_workers_; ++w) {
+    if (slots_[w].alive) {
+      survivors.push_back(w);
+    } else {
+      moved.insert(moved.end(), slots_[w].pes.begin(), slots_[w].pes.end());
+      slots_[w].pes.clear();
     }
   }
-  for (std::uint32_t w = 0; w < num_workers_; ++w) slots_[w].pes.clear();
-  std::vector<PeId> moved;
-  for (PeId pe = 0; pe < P; ++pe) {
-    const std::uint32_t w = survivors[asg[pe]];
-    slots_[w].pes.push_back(pe);
-    hub_.set_endpoint_owner(pe, w);
-    if (prev_owner[pe] != w) moved.push_back(pe);
+  DGR_CHECK(!survivors.empty());
+  std::sort(moved.begin(), moved.end());
+  const std::uint32_t P = g_.num_pes();
+  std::vector<std::uint64_t> weight;  // [a * P + b]: edges between PEs a, b
+  if (!moved.empty()) {
+    weight.assign(std::size_t{P} * P, 0);
+    g_.for_each_live([&](VertexId v) {
+      for (const ArgEdge& e : g_.at(v).args) {
+        if (!e.to.valid() || e.to.pe == v.pe) continue;
+        ++weight[std::size_t{v.pe} * P + e.to.pe];
+        ++weight[std::size_t{e.to.pe} * P + v.pe];
+      }
+    });
+  }
+  for (const PeId pe : moved) {
+    std::uint32_t best = survivors[0];
+    std::size_t best_n = SIZE_MAX;
+    std::uint64_t best_w = 0;
+    for (const std::uint32_t w : survivors) {
+      const std::size_t n = slots_[w].pes.size();
+      std::uint64_t wt = 0;
+      for (const PeId q : slots_[w].pes) wt += weight[std::size_t{pe} * P + q];
+      if (n < best_n || (n == best_n && wt > best_w)) {
+        best = w;
+        best_n = n;
+        best_w = wt;
+      }
+    }
+    std::vector<PeId>& owned = slots_[best].pes;
+    owned.insert(std::upper_bound(owned.begin(), owned.end(), pe), pe);
+    hub_.set_endpoint_owner(pe, best);
   }
   stats_.partitions_reassigned += moved.size();
   metrics_.add(home_pe(survivors[0]), obs::Counter::kPartitionReassigned,
@@ -700,16 +696,23 @@ void ProcEngine::watchdog_loop() {
 
 void ProcEngine::collect_task_refs(std::vector<TaskRef>& out) {
   std::lock_guard<std::recursive_mutex> lk(mu_);
-  for (const auto& p : pools_)
-    p->for_each([&](const Task& t) { out.push_back(TaskRef{t.s, t.d}); });
+  for (const TaskIndex& p : pools_)
+    p.for_each_ref([&](TaskRef r) { out.push_back(r); });
+}
+
+void ProcEngine::collect_task_endpoints(std::vector<TaskEndpoint>& out) {
+  std::lock_guard<std::recursive_mutex> lk(mu_);
+  for (PeId pe = 0; pe < g_.num_pes(); ++pe)
+    pools_[pe].for_each_endpoint(
+        [&](VertexId v) { out.push_back(TaskEndpoint{pe, v}); });
 }
 
 TaskRestructure ProcEngine::restructure_tasks(
-    const std::function<bool(const Task&)>& kill,
-    const std::function<std::uint8_t(const Task&)>& prio) {
+    const std::function<bool(VertexId)>& kill,
+    const std::function<std::uint8_t(VertexId)>& prio) {
   std::lock_guard<std::recursive_mutex> lk(mu_);
   TaskRestructure r;
-  for (const auto& p : pools_) r += p->restructure(kill, prio);
+  for (TaskIndex& p : pools_) r += p.restructure(kill, prio);
   return r;
 }
 

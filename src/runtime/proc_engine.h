@@ -132,11 +132,15 @@ class ProcEngine final : public TaskSink, public EngineHooks {
   // ---- TaskSink (controller-side marker: wave seeds only) ----
   void spawn(Task t) override;
 
+  // Every unexecuted reduction task as <s,d>, one per task (the Oracle's
+  // input).
+  void collect_task_refs(std::vector<TaskRef>& out);
+
   // ---- EngineHooks ----
-  void collect_task_refs(std::vector<TaskRef>& out) override;
+  void collect_task_endpoints(std::vector<TaskEndpoint>& out) override;
   TaskRestructure restructure_tasks(
-      const std::function<bool(const Task&)>& kill,
-      const std::function<std::uint8_t(const Task&)>& prio) override;
+      const std::function<bool(VertexId)>& kill,
+      const std::function<std::uint8_t(VertexId)>& prio) override;
   void quiesce_begin() override;
   void on_cycle_complete(const CycleResult& res) override {
     audit_.on_cycle_complete(res);
@@ -190,7 +194,7 @@ class ProcEngine final : public TaskSink, public EngineHooks {
   struct WorkerSlot {
     PeId pe_begin = 0;            // initial contiguous block (registration)
     std::uint32_t pe_count = 0;
-    std::vector<PeId> pes;        // current owned set; rewritten on recovery
+    std::vector<PeId> pes;        // current owned set, ascending
     bool alive = true;
     long pid = -1;
     // Per-worker handoff accounting (survives repartitions, unlike the
@@ -289,7 +293,7 @@ class ProcEngine final : public TaskSink, public EngineHooks {
   std::vector<std::uint64_t> probe_snapshot_;  // clock samples at probe time
   std::uint64_t probe_deadline_us_ = 0;
 
-  std::vector<std::unique_ptr<TaskPool>> pools_;
+  std::vector<TaskIndex> pools_;  // inert reduction tasks, per PE
 
   ProcEngineStats stats_;
 

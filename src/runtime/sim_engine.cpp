@@ -232,23 +232,36 @@ void SimEngine::collect_task_refs(std::vector<TaskRef>& out) {
     if (!task_is_marking(f.t.kind)) out.push_back(TaskRef{f.t.s, f.t.d});
 }
 
+void SimEngine::collect_task_endpoints(std::vector<TaskEndpoint>& out) {
+  const auto emit = [&](const Task& t) {
+    const PeId pool = t.d.valid() ? t.d.pe : 0;
+    out.push_back(TaskEndpoint{pool, t.s});
+    out.push_back(TaskEndpoint{pool, t.d});
+  };
+  for (const auto& p : pools_) p.for_each(emit);
+  for (const InFlight& f : flight_)
+    if (!task_is_marking(f.t.kind)) emit(f.t);
+}
+
 TaskRestructure SimEngine::restructure_tasks(
-    const std::function<bool(const Task&)>& kill,
-    const std::function<std::uint8_t(const Task&)>& prio) {
+    const std::function<bool(VertexId)>& kill,
+    const std::function<std::uint8_t(VertexId)>& prio) {
   TaskRestructure r;
-  for (auto& p : pools_) r += p.restructure(kill, prio);
+  for (auto& p : pools_)
+    r += p.restructure([&](const Task& t) { return kill(t.d); },
+                       [&](const Task& t) { return prio(t.d); });
   // In-flight reduction tasks: killed ones are swap-removed (the slot is
   // re-examined), survivors take their new priority in place.
   for (std::size_t i = 0; i < flight_.size();) {
     Task& t = flight_[i].t;
     if (task_is_marking(t.kind)) {
       ++i;
-    } else if (kill(t)) {
+    } else if (kill(t.d)) {
       flight_[i] = std::move(flight_.back());
       flight_.pop_back();
       ++r.expunged;
     } else {
-      const std::uint8_t p = prio(t);
+      const std::uint8_t p = prio(t.d);
       if (p != t.pool_prior) {
         t.pool_prior = p;
         ++r.reprioritized;

@@ -112,11 +112,16 @@ class SimEngine final : public TaskSink, public EngineHooks {
   const TaskPool& pool(PeId pe) const { return pools_[pe]; }
   std::size_t in_flight() const { return flight_.size(); }
 
+  // Every unexecuted reduction task as <s,d>, one per task, pooled ones
+  // first, then those in flight (the Oracle's input).
+  void collect_task_refs(std::vector<TaskRef>& out);
+
   // ---- EngineHooks ----
-  void collect_task_refs(std::vector<TaskRef>& out) override;
+  // Per task, in the order collect_task_refs lists them: s, then d.
+  void collect_task_endpoints(std::vector<TaskEndpoint>& out) override;
   TaskRestructure restructure_tasks(
-      const std::function<bool(const Task&)>& kill,
-      const std::function<std::uint8_t(const Task&)>& prio) override;
+      const std::function<bool(VertexId)>& kill,
+      const std::function<std::uint8_t(VertexId)>& prio) override;
 
  private:
   void execute(const Task& t);

@@ -75,7 +75,7 @@ ThreadEngine::ThreadEngine(Graph& g, NetOptions net)
   controller_->set_deferred_restructure(true);
   for (PeId pe = 0; pe < g_.num_pes(); ++pe) {
     mail_.push_back(std::make_unique<Mailbox>());
-    pools_.push_back(std::make_unique<TaskPool>());
+    pools_.emplace_back();
     pool_mu_.push_back(std::make_unique<std::mutex>());
   }
   for (PeId pe = 0; pe < g_.num_pes(); ++pe) {
@@ -286,7 +286,7 @@ void ThreadEngine::flush_outgoing(PeId pe, bool force) {
 void ThreadEngine::inject(Task t) {
   const PeId pe = t.d.pe;
   std::lock_guard<std::mutex> lk(*pool_mu_[pe]);
-  pools_[pe]->push(std::move(t));
+  pools_[pe].push(t);
 }
 
 void ThreadEngine::pe_loop(PeId pe) {
@@ -510,18 +510,25 @@ void ThreadEngine::wait_cycle_done() {
 void ThreadEngine::collect_task_refs(std::vector<TaskRef>& out) {
   for (PeId pe = 0; pe < g_.num_pes(); ++pe) {
     std::lock_guard<std::mutex> lk(*pool_mu_[pe]);
-    pools_[pe]->for_each(
-        [&](const Task& t) { out.push_back(TaskRef{t.s, t.d}); });
+    pools_[pe].for_each_ref([&](TaskRef r) { out.push_back(r); });
+  }
+}
+
+void ThreadEngine::collect_task_endpoints(std::vector<TaskEndpoint>& out) {
+  for (PeId pe = 0; pe < g_.num_pes(); ++pe) {
+    std::lock_guard<std::mutex> lk(*pool_mu_[pe]);
+    pools_[pe].for_each_endpoint(
+        [&](VertexId v) { out.push_back(TaskEndpoint{pe, v}); });
   }
 }
 
 TaskRestructure ThreadEngine::restructure_tasks(
-    const std::function<bool(const Task&)>& kill,
-    const std::function<std::uint8_t(const Task&)>& prio) {
+    const std::function<bool(VertexId)>& kill,
+    const std::function<std::uint8_t(VertexId)>& prio) {
   TaskRestructure r;
   for (PeId pe = 0; pe < g_.num_pes(); ++pe) {
     std::lock_guard<std::mutex> lk(*pool_mu_[pe]);
-    r += pools_[pe]->restructure(kill, prio);
+    r += pools_[pe].restructure(kill, prio);
   }
   return r;
 }

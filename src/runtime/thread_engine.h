@@ -160,11 +160,15 @@ class ThreadEngine final : public TaskSink, public EngineHooks {
   bool admit_mark(Plane plane, VertexId child, std::uint8_t prior,
                   std::uint64_t epoch) override;
 
+  // Every unexecuted reduction task as <s,d>, one per task (the Oracle's
+  // input).
+  void collect_task_refs(std::vector<TaskRef>& out);
+
   // ---- EngineHooks ----
-  void collect_task_refs(std::vector<TaskRef>& out) override;
+  void collect_task_endpoints(std::vector<TaskEndpoint>& out) override;
   TaskRestructure restructure_tasks(
-      const std::function<bool(const Task&)>& kill,
-      const std::function<std::uint8_t(const Task&)>& prio) override;
+      const std::function<bool(VertexId)>& kill,
+      const std::function<std::uint8_t(VertexId)>& prio) override;
   void quiesce_begin() override;
   void quiesce_end() override;
   void on_cycle_complete(const CycleResult& res) override {
@@ -290,8 +294,8 @@ class ThreadEngine final : public TaskSink, public EngineHooks {
   };
   std::vector<std::unique_ptr<BoundaryShard>> summary_;
   NetOptions net_;
-  std::vector<std::unique_ptr<TaskPool>> pools_;  // inert reduction tasks
-  std::vector<std::unique_ptr<std::mutex>> pool_mu_;
+  std::vector<TaskIndex> pools_;  // inert reduction tasks, per PE
+  std::vector<std::unique_ptr<std::mutex>> pool_mu_;  // [pe] guards pools_[pe]
 
   std::vector<std::atomic_flag> locks_;
 

@@ -290,6 +290,46 @@ TEST(Membership, RecoveryLeavesNoSurvivorIdle) {
   rig.cycle_checked(false, 2);
 }
 
+// ---- Recovery placement: survivors keep their PEs; only the dead one's
+// move. ----
+
+TEST(Membership, OnlyTheDeadWorkersPesMove) {
+  RigParams rp;
+  rp.seed = 29;
+  ProcOptions popt;
+  popt.workers = 4;  // one PE each
+  Rig rig(rp, popt);
+  rig.cycle_checked(/*detect_deadlock=*/false, 0);
+  if (::testing::Test::HasFatalFailure()) return;
+
+  const long pid = rig.eng().worker_pid(2);
+  ASSERT_GT(pid, 0);
+  ::testing::internal::CaptureStderr();
+  ASSERT_EQ(::kill(static_cast<pid_t>(pid), SIGKILL), 0);
+  rig.wait_worker_dead(2);
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  if (::testing::Test::HasFatalFailure()) return;
+
+  EXPECT_EQ(rig.eng().stats().partitions_reassigned, 1u);
+  EXPECT_NE(log.find("PEs {2} reassigned"), std::string::npos) << log;
+  obs::TraceReport report = obs::analyze({});
+  ASSERT_TRUE(
+      obs::enrich_with_metrics_json(report, rig.eng().cluster_metrics_json()));
+  ASSERT_EQ(report.workers.size(), 4u);
+  EXPECT_TRUE(report.workers[2].pes.empty());
+  for (const std::uint32_t w : {0u, 1u, 3u}) {
+    const std::vector<std::uint32_t>& pes = report.workers[w].pes;
+    EXPECT_NE(std::find(pes.begin(), pes.end(), w), pes.end())
+        << "worker " << w << " lost its own PE";
+    EXPECT_LE(pes.size(), 2u) << "worker " << w;
+  }
+
+  rig.cycle_checked(true, 1);
+  if (::testing::Test::HasFatalFailure()) return;
+  rig.churn(6);
+  rig.cycle_checked(false, 2);
+}
+
 // ---- Differential handoffs: stable graph => header-sized deltas. ----
 
 TEST(Membership, DeltaHandoffsShrinkOnStableGraph) {

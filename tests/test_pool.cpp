@@ -1,14 +1,17 @@
 // Unit tests for the priority task pool (§3.2 item 1: vital tasks compete
 // with eager ones — the pool always serves the highest class) and its
-// restructuring pass, checked against the erase-in-loop reference, the PE
+// restructuring pass, checked against the erase-in-loop reference, the
+// destination-indexed inert pool checked against TaskPool, the PE
 // work list's drain order, the per-PE mailbox (task-counted delivery and
 // drain), and fuzz tests for the wire codec.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <deque>
 #include <functional>
 #include <map>
+#include <set>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -253,7 +256,9 @@ TEST(SimRestructure, FusedHookCoversPooledAndInFlightTasks) {
     t.pool_prior = p;
   }
 
-  const TaskRestructure r = sim.restructure_tasks(killf, priof);
+  const TaskRestructure r = sim.restructure_tasks(
+      [&](VertexId d) { return static_cast<bool>(kill[d.idx]); },
+      [&](VertexId d) { return prio[d.idx]; });
   EXPECT_EQ(r.expunged, want_expunged);
   EXPECT_EQ(r.reprioritized, want_reprioritized);
   EXPECT_EQ(contents(sim.pool(0)), contents(ref));
@@ -301,6 +306,99 @@ TEST(TaskPool, ForEachSeesEverything) {
   });
   EXPECT_EQ(n, 9u);
   EXPECT_EQ(sum, 36u);
+}
+
+// ---- TaskIndex: the inert pool, differential against TaskPool. ----
+
+bool ref_less(TaskRef a, TaskRef b) {
+  return a.s.pack() != b.s.pack() ? a.s.pack() < b.s.pack()
+                                  : a.d.pack() < b.d.pack();
+}
+
+// Both pools must hold the same <s,d> multiset with the same bucket counts,
+// and the index's endpoint listing must be the refs' endpoint set: every
+// destination once, then every distinct valid source once.
+void expect_same_population(const TaskPool& pool, const TaskIndex& index) {
+  std::vector<TaskRef> want, got;
+  std::size_t want_bucket[3] = {};
+  pool.for_each([&](const Task& t) {
+    want.push_back(TaskRef{t.s, t.d});
+    ++want_bucket[pool_bucket(t.pool_prior)];
+  });
+  index.for_each_ref([&](TaskRef r) { got.push_back(r); });
+  std::sort(want.begin(), want.end(), ref_less);
+  std::sort(got.begin(), got.end(), ref_less);
+  ASSERT_EQ(got, want);
+  EXPECT_EQ(index.size(), pool.size());
+  EXPECT_EQ(index.bucket_size(1), want_bucket[0]);
+  EXPECT_EQ(index.bucket_size(2), want_bucket[1]);
+  EXPECT_EQ(index.bucket_size(3), want_bucket[2]);
+
+  std::set<std::uint64_t> dests, sources;
+  for (const TaskRef& r : want) {
+    dests.insert(r.d.pack());
+    if (r.s.valid()) sources.insert(r.s.pack());
+  }
+  std::vector<std::uint64_t> listed;
+  index.for_each_endpoint([&](VertexId v) { listed.push_back(v.pack()); });
+  ASSERT_EQ(listed.size(), dests.size() + sources.size());
+  std::set<std::uint64_t> listed_d(listed.begin(),
+                                   listed.begin() + dests.size());
+  std::set<std::uint64_t> listed_s(listed.begin() + dests.size(),
+                                   listed.end());
+  EXPECT_EQ(listed_d, dests);
+  EXPECT_EQ(listed_s, sources);
+}
+
+TEST(TaskIndex, MatchesTaskPoolUnderRandomPushesAndRestructures) {
+  Rng rng(25);
+  for (int trial = 0; trial < 24; ++trial) {
+    SCOPED_TRACE(trial);
+    // Few destinations and sources, so duplicate <s,d> tasks are common.
+    const auto dests = static_cast<std::uint32_t>(1 + rng.below(40));
+    const auto srcs = static_cast<std::uint32_t>(1 + rng.below(60));
+    TaskPool pool;
+    TaskIndex index;
+    for (int op = 0; op < 60; ++op) {
+      if (rng.chance(0.6)) {
+        for (std::uint64_t n = rng.below(300); n > 0; --n) {
+          const VertexId d{static_cast<PeId>(rng.below(2)),
+                           static_cast<std::uint32_t>(rng.below(dests))};
+          // <-,d> tasks have no source; a source may also be a destination.
+          const VertexId s =
+              rng.chance(0.1)
+                  ? VertexId::invalid()
+                  : VertexId{static_cast<PeId>(rng.below(2)),
+                             static_cast<std::uint32_t>(rng.below(srcs))};
+          Task t = Task::request(s, d, ReqKind::kVital);
+          t.pool_prior = static_cast<std::uint8_t>(rng.below(5));
+          pool.push(t);
+          index.push(t);
+        }
+      } else {
+        // Per-destination decisions, at per-pass rates from none to all.
+        const double p_kill = rng.chance(0.3) ? 0.0 : rng.uniform01();
+        std::map<std::uint64_t, bool> kill;
+        std::map<std::uint64_t, std::uint8_t> prio;
+        for (PeId pe = 0; pe < 2; ++pe)
+          for (std::uint32_t i = 0; i < dests; ++i) {
+            const std::uint64_t key = VertexId{pe, i}.pack();
+            kill[key] = rng.chance(p_kill);
+            prio[key] = static_cast<std::uint8_t>(rng.below(5));
+          }
+        const auto killd = [&](VertexId d) { return kill.at(d.pack()); };
+        const auto priod = [&](VertexId d) { return prio.at(d.pack()); };
+        const TaskRestructure want =
+            pool.restructure([&](const Task& t) { return killd(t.d); },
+                             [&](const Task& t) { return priod(t.d); });
+        const TaskRestructure got = index.restructure(killd, priod);
+        EXPECT_EQ(got.expunged, want.expunged);
+        EXPECT_EQ(got.reprioritized, want.reprioritized);
+      }
+      expect_same_population(pool, index);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
 }
 
 // ---- WorkList: M_R marks by priority, everything else in arrival order. ----

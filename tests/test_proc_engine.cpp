@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -90,7 +91,31 @@ class ProcRig {
 
     CycleOptions copt;
     copt.detect_deadlock = detect_deadlock;
-    eng_->controller().start_cycle(copt);
+    // Under the engine lock, which holds restructuring (it clears the task
+    // roots) off until they are read: per pool PE (the PE owning the task's
+    // destination) they hold the live endpoints of the refs, each once —
+    // what a walk over every pooled task attaches (§5.2).
+    std::vector<std::set<std::uint64_t>> want(g_.num_pes());
+    for (const TaskRef& r : refs)
+      for (const VertexId v : {r.s, r.d})
+        if (v.valid() && g_.at(v).live) want[r.d.pe].insert(v.pack());
+    std::vector<std::set<std::uint64_t>> got(g_.num_pes());
+    std::size_t attached = 0;
+    eng_->atomically({}, [&] {
+      eng_->start_cycle(copt);
+      for (PeId pe = 0; pe < g_.num_pes(); ++pe)
+        for (const ArgEdge& e : g_.at(g_.store(pe).taskroot()).args) {
+          got[pe].insert(e.to.pack());
+          ++attached;
+        }
+    });
+    if (detect_deadlock) {
+      EXPECT_EQ(got, want) << "task roots, round " << round;
+      std::size_t distinct = 0;
+      for (const auto& set : got) distinct += set.size();
+      EXPECT_EQ(attached, distinct)
+          << "an endpoint attached twice, round " << round;
+    }
     eng_->wait_cycle_done();
     ASSERT_FALSE(eng_->failed()) << "worker died in round " << round;
 
@@ -163,6 +188,40 @@ TEST(ProcEngine, TwoWorkersMatchOracleAcrossCycles) {
   EXPECT_EQ(s.reports_merged,
             (s.planes_started + s.rescue_begins) * rig.eng().num_workers());
   EXPECT_GT(s.transport.frames_received, 0u);
+}
+
+// The task roots of an M_T cycle (checked in cycle_checked) over duplicate
+// <s,d> tasks, source-less <-,d> tasks, and a source that one cycle sweeps
+// and the next finds live again in its reused slot: the task still names
+// the slot, so it is attached, as the per-task walk and the Oracle do.
+TEST(ProcEngine, TaskRootsHoldTheLiveEndpointsOfThePooledTasks) {
+  RigParams rp;
+  rp.seed = 17;
+  ProcOptions popt;
+  popt.workers = 2;
+  ProcRig rig(rp, popt);
+  Graph& g = rig.g();
+  const VertexId root = rig.root();
+  VertexId x = VertexId::invalid();
+  rig.eng().atomically({}, [&] { x = g.alloc(1, OpCode::kLit); });
+  rig.eng().inject(Task::request(x, root, ReqKind::kVital));
+  for (const ArgEdge& e : g.at(root).args) {
+    if (!e.to.valid()) continue;
+    rig.eng().inject(Task::request(root, e.to, ReqKind::kVital));
+    rig.eng().inject(Task::request(root, e.to, ReqKind::kEager));
+    rig.eng().inject(Task::request(VertexId::invalid(), e.to, ReqKind::kVital));
+  }
+  rig.cycle_checked(/*detect_deadlock=*/true, 0);
+  if (::testing::Test::HasFatalFailure()) return;
+  ASSERT_TRUE(g.is_free(x)) << "the unreachable source was not swept";
+  rig.eng().atomically({}, [&] {
+    VertexId y = VertexId::invalid();
+    while (y != x) y = g.alloc(x.pe, OpCode::kLit);
+  });
+  rig.cycle_checked(true, 1);
+  if (::testing::Test::HasFatalFailure()) return;
+  rig.churn(6);
+  rig.cycle_checked(true, 2);
 }
 
 TEST(ProcEngine, FourWorkersOverTcp) {

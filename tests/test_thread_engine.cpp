@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <set>
 #include <span>
 #include <thread>
 #include <vector>
@@ -557,6 +558,89 @@ TEST(ThreadEngineOrder, LateVitalArrivalFromAnotherPeForcesUpgrade) {
     EXPECT_EQ(eng.marker().is_marked(Plane::kR, v), o.in_R(v));
     EXPECT_EQ(eng.marker().prior(Plane::kR, v), o.prior_at(v));
   });
+}
+
+// ---- Task roots: the endpoints attached at cycle start (§5.2). ----
+
+// Per pool PE (the PE owning the task's destination), the live endpoints of
+// the task refs: what a walk over every pooled task attaches to taskroot_i,
+// and what the Oracle marks in T.
+std::vector<std::set<std::uint64_t>> live_task_endpoints(
+    const Graph& g, const std::vector<TaskRef>& refs) {
+  std::vector<std::set<std::uint64_t>> out(g.num_pes());
+  for (const TaskRef& r : refs)
+    for (const VertexId v : {r.s, r.d})
+      if (v.valid() && g.at(v).live) out[r.d.pe].insert(v.pack());
+  return out;
+}
+
+TEST(ThreadEngine, TaskRootsHoldTheLiveEndpointsOfThePooledTasks) {
+  Graph g = make_presized(4, 2000);
+  RandomGraphOptions opt;
+  opt.num_vertices = 3000;
+  opt.seed = 45;
+  opt.num_tasks = 32;
+  const BuiltGraph b = build_random_graph(g, opt);
+  ThreadEngine eng(g);
+  eng.set_root(b.root);
+  for (const TaskRef& t : b.tasks) {
+    eng.inject(Task::request(t.s, t.d, ReqKind::kVital));
+    eng.inject(Task::request(t.s, t.d, ReqKind::kEager));  // duplicate <s,d>
+    eng.inject(Task::request(VertexId::invalid(), t.d, ReqKind::kVital));
+  }
+  // A source the first cycle sweeps: unreachable, with its task aimed at the
+  // root, which is never irrelevant, so the task outlives it.
+  const VertexId x = g.alloc(1, OpCode::kLit);
+  eng.inject(Task::request(x, b.root, ReqKind::kVital));
+  eng.start();
+
+  const auto cycle_checked = [&](int round) {
+    std::vector<TaskRef> refs;
+    eng.collect_task_refs(refs);
+    const Oracle o(g, b.root, refs);
+    const std::vector<std::set<std::uint64_t>> want =
+        live_task_endpoints(g, refs);
+    std::vector<std::set<std::uint64_t>> got(g.num_pes());
+    std::size_t attached = 0;
+    // The shared gate holds restructuring, which clears the task roots, off
+    // until they are read.
+    eng.atomically({}, [&] {
+      eng.controller().start_cycle();  // with M_T: the task roots are built
+      for (PeId pe = 0; pe < g.num_pes(); ++pe)
+        for (const ArgEdge& e : g.at(g.store(pe).taskroot()).args) {
+          got[pe].insert(e.to.pack());
+          ++attached;
+        }
+    });
+    eng.wait_cycle_done();
+    EXPECT_EQ(got, want) << "round " << round;
+    std::size_t distinct = 0;
+    for (const auto& set : got) distinct += set.size();
+    EXPECT_EQ(attached, distinct) << "an endpoint attached twice, round "
+                                  << round;
+    EXPECT_EQ(eng.controller().last().swept, o.count_GAR()) << round;
+    g.for_each_live([&](VertexId v) {
+      EXPECT_EQ(eng.marker().is_marked(Plane::kT, v), o.in_T(v))
+          << "T mark of (" << v.pe << "," << v.idx << ") round " << round;
+      EXPECT_EQ(eng.marker().is_marked(Plane::kR, v), o.in_R(v))
+          << "R mark of (" << v.pe << "," << v.idx << ") round " << round;
+    });
+    return want;
+  };
+
+  cycle_checked(0);
+  ASSERT_TRUE(g.is_free(x)) << "the unreachable source was not swept";
+  // Reuse x's slot: allocate on its PE until the store hands it back (the
+  // others are unreachable and go in the next sweep).
+  eng.atomically({}, [&] {
+    VertexId y = VertexId::invalid();
+    while (y != x) y = g.alloc(x.pe, OpCode::kLit);
+  });
+  // The task still names x, so the slot is attached, as the per-task walk
+  // and the Oracle attach it.
+  const auto want = cycle_checked(1);
+  EXPECT_EQ(want[b.root.pe].count(x.pack()), 1u);
+  eng.stop();
 }
 
 // ---- Online health auditing (safe-point audits + watchdog). ----
