@@ -53,10 +53,10 @@ class Auditor {
   // After restructuring: the sweep must have freed the GAR′ the safe point
   // measured (Property 1).
   void on_cycle_complete(const CycleResult& res);
-
- private:
+  // Count, log and report one violation (also an engine's own checks').
   void fail(std::uint64_t cycle, std::string what);
 
+ private:
   const Graph& g_;
   const Marker& marker_;
   AuditOptions opt_{0};

@@ -138,18 +138,10 @@ void ThreadEngine::spawn(Task t) {
     return;
   }
   if (tl_pe >= 0 && src == dst) {
-    // A PE thread's own task: typed, straight onto its work list. Spawned
-    // inside a run, it is counted when the run folds its tally.
-    PeState& me = *pes_[src];
-    me.work.push(t);
-    if (me.in_run) {
-      ++me.run_pushed;
-    } else {
-      outstanding_.fetch_add(1, std::memory_order_acq_rel);
-    }
+    // A PE thread's own task: typed, straight onto its work list.
+    pes_[src]->work.push(t);
     return;
   }
-  outstanding_.fetch_add(1, std::memory_order_acq_rel);
   if (src != dst) maybe_backpressure(src, dst);
   if (ChannelManager* chan = plane_.channel()) {
     std::vector<std::uint8_t> bytes = encode_task(t);
@@ -295,6 +287,10 @@ void ThreadEngine::pe_loop(PeId pe) {
   std::uint64_t frames = 0;  // for periodic timer service while busy
   std::vector<Mailbox::Msg> buf;  // reused drain buffer
   ChannelManager* const chan = plane_.channel();
+  // hold_task_for_test: the held task joins the list past the root's
+  // return, for the safe point to find, and leaves it unrun.
+  const auto hold = [&] { if (me.held) me.work.push(*me.held); };
+  const auto unhold = [&] { if (me.held) me.work.clear(); };
   const auto take_mail = [&] {
     for (const Mailbox::Msg& m : buf) {
       receive(pe, pe, m);
@@ -304,21 +300,24 @@ void ThreadEngine::pe_loop(PeId pe) {
   };
   while (running_.load(std::memory_order_relaxed)) {
     if (pause_.load(std::memory_order_acquire)) {
-      // Staged marks must reach their mailboxes before this PE parks: a
-      // message wedged here would stall wave termination (and with it the
-      // quiescer) indefinitely.
-      flush_outgoing(pe, /*force=*/true);
+      // Only a restructure pauses: nothing is staged (quiesce_begin checks).
+      hold();
       // Parked PEs block rather than yield-spin: a restructure can take a
       // millisecond, and a spinning PE burns a core for all of it.
       parked_.fetch_add(1, std::memory_order_acq_rel);
       while (pause_.load(std::memory_order_acquire))
         pause_.wait(true, std::memory_order_acquire);
       parked_.fetch_sub(1, std::memory_order_acq_rel);
+      unhold();
       continue;
     }
     if (controller_->restructure_due() &&
         !restructure_claim_.test_and_set(std::memory_order_acq_rel)) {
-      if (controller_->restructure_due()) controller_->run_restructure();
+      if (controller_->restructure_due()) {
+        hold();
+        controller_->run_restructure();
+        unhold();
+      }
       restructure_claim_.clear(std::memory_order_release);
       continue;
     }
@@ -361,21 +360,8 @@ void ThreadEngine::pe_loop(PeId pe) {
     reg_.observe(pe, obs::Hist::kMarkQueueDepth, static_cast<double>(total));
     // A bounded run keeps pause/restructure latency and flush staleness in
     // check.
-    // outstanding_ moves once per run: the tasks run here stay counted
-    // until the fold, so it cannot read 0 while their uncounted local
-    // children wait on the list.
-    std::size_t ran = 0;
-    me.in_run = true;
-    while (ran < kDrainMax && !me.work.empty()) {
+    for (std::size_t ran = 0; ran < kDrainMax && !me.work.empty(); ++ran)
       execute(pe, me.work.pop());
-      ++ran;
-    }
-    me.in_run = false;
-    const std::size_t pushed = std::exchange(me.run_pushed, 0);
-    if (pushed > ran)
-      outstanding_.fetch_add(pushed - ran, std::memory_order_acq_rel);
-    else if (ran > pushed)
-      outstanding_.fetch_sub(ran - pushed, std::memory_order_acq_rel);
     // Between runs: push out size/age-ripe batches staged by the executes
     // above (worst-case staleness is one run + batch_flush_us).
     flush_outgoing(pe, /*force=*/false);
@@ -422,19 +408,14 @@ std::size_t ThreadEngine::receive(PeId pe, PeId owner,
     ++queued;
   };
   const auto now = [this] { return now_us(); };
-  std::size_t consumed = msg.tasks;
   if (plane_.channel()) {
-    consumed = plane_.receive(pe, owner, msg.bytes, now, push);
+    plane_.receive(pe, owner, msg.bytes, now, push);
   } else if (batch_split(msg.bytes, pes_[pe]->views)) {
     for (std::span<const std::uint8_t> v : pes_[pe]->views)
       plane_.receive(pe, owner, v, now, push);
   } else {
     reg_.add(pe, obs::Counter::kMsgDecodeError);
   }
-  // Payloads that did not decode never run; retire them here so
-  // wait_quiescent cannot hang.
-  if (consumed > queued)
-    outstanding_.fetch_sub(consumed - queued, std::memory_order_acq_rel);
   return queued;
 }
 
@@ -471,10 +452,6 @@ void ThreadEngine::atomically(std::span<const VertexId> vs,
 }
 
 void ThreadEngine::quiesce_begin() {
-  // A PE-thread quiescer flushes its own staging row first: nothing this
-  // thread staged may sit out the safe point (belt and braces — marking has
-  // terminated, so the rows should already be empty).
-  if (tl_pe >= 0) flush_outgoing(static_cast<PeId>(tl_pe), /*force=*/true);
   // Exclusive against external mutators...
   mutation_gate().lock();
   // ...and against the PE threads (minus the caller, if it is one). An
@@ -487,24 +464,32 @@ void ThreadEngine::quiesce_begin() {
   while (parked_.load(std::memory_order_acquire) < expected)
     std::this_thread::yield();
   // Safe point: every PE is parked, both planes have terminated with their
-  // marks still unconsumed, no marking task is in flight — the one globally
-  // consistent state the concurrent engine reaches. Audit here.
-  audit_.at_safe_point(controller_->cycles_completed() + 1);
+  // marks still unconsumed — the one globally consistent state the
+  // concurrent engine reaches. The root's return was sent only after every
+  // task of the epoch ran, so none may wait anywhere (DESIGN.md,
+  // "Termination"): check that always, then audit. A channel-path mailbox
+  // may still hold acks and duplicates, dropped on receipt, uncounted.
+  const std::uint64_t cycle = controller_->cycles_completed() + 1;
+  if (const std::uint64_t left = pending_tasks())
+    audit_.fail(cycle, "termination: " + std::to_string(left) +
+                           " marking task(s) pending at the safe point");
+  audit_.at_safe_point(cycle);
+}
+
+std::uint64_t ThreadEngine::pending_tasks() const {
+  std::uint64_t n = 0;
+  for (PeId pe = 0; pe < g_.num_pes(); ++pe) {
+    n += pes_[pe]->work.size();
+    for (const OutBatch& b : pes_[pe]->out) n += b.tasks;
+    if (!plane_.channel()) n += mail_[pe]->pending();
+  }
+  return n;
 }
 
 void ThreadEngine::quiesce_end() {
   pause_.store(false, std::memory_order_release);
   pause_.notify_all();
   mutation_gate().unlock();
-}
-
-void ThreadEngine::wait_quiescent() {
-  while (outstanding_.load(std::memory_order_acquire) > 0)
-    std::this_thread::yield();
-}
-
-void ThreadEngine::wait_cycle_done() {
-  while (!controller_->idle()) std::this_thread::yield();
 }
 
 void ThreadEngine::collect_task_refs(std::vector<TaskRef>& out) {

@@ -18,9 +18,11 @@
 // thread spawns for its own PE goes straight onto that list as a typed Task:
 // no encode, no allocation, no mailbox. Each pass of the PE loop moves up to
 // kDrainMax tasks' worth of mailbox messages onto the list, then runs up to
-// kDrainMax tasks from it; the tasks a run spawns for its own PE reach the
-// shared pending count (wait_quiescent) in one fold at its end, not one
-// atomic each. WorkerEngine runs the same list.
+// kDrainMax tasks from it. WorkerEngine runs the same list.
+//
+// Termination: as on ProcEngine, the return that reaches rootpar is the only
+// detector (DESIGN.md, "Termination"), so no spawn touches a shared pending
+// count. Every safe point checks that no task is left (quiesce_begin).
 //
 // Message plane (NetOptions, net/reliable_channel.h). Cross-PE messages
 // land in per-PE mailboxes. With a nonzero fault schedule every cross-PE
@@ -35,7 +37,7 @@
 // destination mailbox as one message, on the channel path into
 // multi-payload frames. Both read reliable.batch_bytes and
 // reliable.batch_flush_us. A batch flushes when it reaches batch_bytes, ages
-// past batch_flush_us, or its owning PE goes idle or parks. batch_bytes == 0
+// past batch_flush_us, or its owning PE goes idle. batch_bytes == 0
 // flushes every staged task at once (a batch of one) and puts each channel
 // payload in its own frame; the channel's acks stay deferred or piggybacked
 // either way. Spawns from outside the PE threads (root seeds, mutators)
@@ -71,6 +73,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -143,10 +146,13 @@ class ThreadEngine final : public TaskSink, public EngineHooks {
   // Stop the PE threads; pending work is abandoned.
   void stop();
 
-  // Block until no task is pending or executing anywhere.
-  void wait_quiescent();
   // Block until the controller finishes the in-progress cycle.
-  void wait_cycle_done();
+  void wait_cycle_done() {
+    while (!controller_->idle()) std::this_thread::yield();
+  }
+  // Block until no task is pending or executing anywhere: the same wait,
+  // since the cycle's own return wave detects termination.
+  void wait_quiescent() { wait_cycle_done(); }
 
   // Inject an inert reduction task into its destination pool (workload for
   // M_T / classification benches).
@@ -163,6 +169,15 @@ class ThreadEngine final : public TaskSink, public EngineHooks {
   // Every unexecuted reduction task as <s,d>, one per task (the Oracle's
   // input).
   void collect_task_refs(std::vector<TaskRef>& out);
+
+  // Marking tasks still waiting: on every PE's work list, in its staged
+  // batch rows and, on the bare path, in its mailbox. Read only while no PE
+  // thread runs (at the safe point, or after stop()).
+  std::uint64_t pending_tasks() const;
+
+  // Test hook: PE `pe` holds `t` on its work list through every safe point,
+  // past the root's return, so the termination check trips. Before start().
+  void hold_task_for_test(PeId pe, Task t) { pes_[pe]->held = t; }
 
   // ---- EngineHooks ----
   void collect_task_endpoints(std::vector<TaskEndpoint>& out) override;
@@ -277,8 +292,7 @@ class ThreadEngine final : public TaskSink, public EngineHooks {
     std::vector<OutBatch> out;           // [dst]
     std::vector<std::uint8_t> bp_armed;  // [dst]
     std::vector<std::span<const std::uint8_t>> views;  // split scratch
-    bool in_run = false;         // executing a pass's run
-    std::size_t run_pushed = 0;  // own tasks pushed during it, not counted
+    std::optional<Task> held;  // hold_task_for_test
     std::atomic<std::uint64_t> depth{0};       // work.size(), once per pass
     std::atomic<std::uint64_t> high_water{0};  // deepest backlog published
   };
@@ -301,7 +315,6 @@ class ThreadEngine final : public TaskSink, public EngineHooks {
 
   std::vector<std::thread> threads_;
   std::atomic<bool> running_{false};
-  std::atomic<std::uint64_t> outstanding_{0};  // spawned, not yet executed
 
   // Quiesce protocol: a pauser raises `pause_`; every other PE thread parks
   // and reports in via `parked_`.

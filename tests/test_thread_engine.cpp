@@ -695,6 +695,65 @@ TEST(ThreadEngine, AuditPeriodSkipsCycles) {
   EXPECT_EQ(eng.audit_stats().violations, 0u) << eng.audit_stats().last_what;
 }
 
+// ---- Termination: the root's return is the only detector. ----
+
+// A 2-PE graph whose marking crosses PEs both ways.
+BuiltGraph build_cross_pe_graph(Graph& g) {
+  RandomGraphOptions opt;
+  opt.num_vertices = 1200;
+  opt.seed = 17;
+  opt.partition = PartitionStrategy::kRoundRobin;
+  const BuiltGraph b = build_random_graph(g, opt);
+  std::size_t cut = 0;
+  for (VertexId v : b.vertices)
+    for (const ArgEdge& e : g.at(v).args)
+      if (e.to.valid() && e.to.pe != v.pe) ++cut;
+  EXPECT_GT(cut, 100u);
+  return b;
+}
+
+TEST(ThreadEngineTermination, WaitQuiescentReturnsOnlyWithTheCycleDone) {
+  Graph g = make_presized(2, 1000);
+  const BuiltGraph b = build_cross_pe_graph(g);
+  ThreadEngine eng(g);
+  eng.set_root(b.root);
+  eng.start();
+  for (std::uint64_t cycle = 1; cycle <= 3; ++cycle) {
+    eng.controller().start_cycle();
+    eng.wait_quiescent();
+    EXPECT_TRUE(eng.controller().idle());
+    EXPECT_EQ(eng.controller().cycles_completed(), cycle);
+  }
+  eng.stop();
+  EXPECT_GT(eng.metrics_registry().total(obs::Counter::kRemoteMessages), 0u);
+  // Every safe point found every list, row and mailbox empty, and so does
+  // the stopped engine.
+  EXPECT_EQ(eng.audit_stats().violations, 0u) << eng.audit_stats().last_what;
+  EXPECT_EQ(eng.pending_tasks(), 0u);
+}
+
+TEST(ThreadEngineTermination, TaskHeldPastTheRootsReturnTripsTheSafePoint) {
+  Graph g = make_presized(2, 1000);
+  const BuiltGraph b = build_cross_pe_graph(g);
+  ThreadEngine eng(g);
+  eng.set_root(b.root);
+  eng.hold_task_for_test(
+      1, Task::mark(Plane::kR, VertexId{1, 0}, VertexId::rootpar(), 3));
+  eng.start();
+  eng.controller().start_cycle();
+  eng.wait_quiescent();
+  eng.stop();
+  EXPECT_EQ(eng.controller().cycles_completed(), 1u);
+  EXPECT_EQ(eng.audit_stats().violations, 1u);
+  EXPECT_NE(eng.audit_stats().last_what.find(
+                "termination: 1 marking task(s) pending"),
+            std::string::npos)
+      << eng.audit_stats().last_what;
+  EXPECT_EQ(eng.health().warnings[static_cast<std::size_t>(
+                obs::HealthKind::kAuditViolation)],
+            1u);
+}
+
 TEST(ThreadEngine, WatchdogRescueStormThresholdFires) {
   // With the storm threshold at zero every watchdog sample trips the alarm:
   // proves the monitor thread samples, warns, and counts while PEs run.
