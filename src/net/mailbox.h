@@ -80,8 +80,9 @@ class Mailbox {
     cv_.notify_all();
   }
 
-  // Tasks waiting. Lock-free: peers poll it on hot paths (backpressure,
-  // steal scans); a stale read only mis-times a heuristic.
+  // Tasks waiting. Lock-free: idle peers poll it for steal scans, and the
+  // owner (high water) and the watchdog (saturation) read it as a gauge; a
+  // stale read only mis-times a heuristic.
   std::size_t pending() const {
     return pending_.load(std::memory_order_relaxed);
   }

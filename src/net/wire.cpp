@@ -50,10 +50,4 @@ std::optional<Task> try_decode_task(ByteSpan bytes) {
   return t;
 }
 
-Task decode_task(ByteSpan bytes) {
-  std::optional<Task> t = try_decode_task(bytes);
-  DGR_CHECK_MSG(t.has_value(), "malformed task message");
-  return *t;
-}
-
 }  // namespace dgr

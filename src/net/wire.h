@@ -110,8 +110,4 @@ void append_task(std::vector<std::uint8_t>& out, const Task& t);
 // out-of-range enum fields. Never aborts.
 std::optional<Task> try_decode_task(ByteSpan bytes);
 
-// Trusting decode for pre-validated buffers; DGR_CHECK-aborts on malformed
-// input (the historical behavior — use try_decode_task for network bytes).
-Task decode_task(ByteSpan bytes);
-
 }  // namespace dgr

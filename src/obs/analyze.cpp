@@ -234,11 +234,6 @@ TraceReport analyze(const std::vector<TraceEvent>& events) {
         p.msg_batched += e.a;
         break;
       }
-      case EventType::kBackpressureStall: {
-        ++rep.backpressure_stalls;
-        ++ensure_pe(e.pe).backpressure_stall;
-        break;
-      }
       case EventType::kTraceDrop: {
         rep.trace_dropped += e.a;
         rep.trace_events_omitted += e.b;
@@ -383,7 +378,6 @@ bool enrich_with_metrics_json(TraceReport& report, const std::string& json) {
     scan_u64_after(json, at, "\"msg_dup_suppressed\":", &p.msg_dup_suppressed);
     scan_u64_after(json, at, "\"msg_batched\":", &p.msg_batched);
     scan_u64_after(json, at, "\"batch_flush\":", &p.batch_flush);
-    scan_u64_after(json, at, "\"backpressure_stall\":", &p.backpressure_stall);
     // Locality counters (older dumps lack the keys — left at zero).
     scan_u64_after(json, at, "\"remote_messages\":", &p.remote_messages);
     scan_u64_after(json, at, "\"local_messages\":", &p.local_messages);
@@ -438,10 +432,10 @@ bool enrich_with_metrics_json(TraceReport& report, const std::string& json) {
       if (scan_u64_after(json, tot, "\"session_churn_ops\":", &u) && u)
         s.churn = std::max(s.churn, u);
       scan_u64_after(json, tot, "\"sessions_rejected\":", &s.rejected);
-      scan_u64_after(json, tot, "\"mutator_stall_idle_us\":", &s.stall_idle_us);
-      scan_u64_after(json, tot, "\"mutator_stall_mark_us\":", &s.stall_mark_us);
-      scan_u64_after(json, tot, "\"mutator_stall_quiesce_us\":",
-                     &s.stall_quiesce_us);
+      scan_u64_after(json, tot, "\"mutator_stall_idle_ns\":", &s.stall_idle_ns);
+      scan_u64_after(json, tot, "\"mutator_stall_mark_ns\":", &s.stall_mark_ns);
+      scan_u64_after(json, tot, "\"mutator_stall_quiesce_ns\":",
+                     &s.stall_quiesce_ns);
     }
   }
   // Cluster rollup: present only in ProcEngine::cluster_metrics_json dumps
@@ -530,7 +524,6 @@ std::string report_to_json(const TraceReport& r) {
   append_kv(out, "dup_suppressed", r.dup_suppressed);
   append_kv(out, "msgs_batched", r.msgs_batched);
   append_kv(out, "batch_flushes", r.batch_flushes);
-  append_kv(out, "backpressure_stalls", r.backpressure_stalls);
   append_kv(out, "trace_dropped", r.trace_dropped);
   append_kv(out, "trace_events_omitted", r.trace_events_omitted);
   append_kv(out, "workers_lost", r.workers_lost);
@@ -617,7 +610,6 @@ std::string report_to_json(const TraceReport& r) {
     append_kv(out, "msg_dup_suppressed", p.msg_dup_suppressed);
     append_kv(out, "msg_batched", p.msg_batched);
     append_kv(out, "batch_flush", p.batch_flush);
-    append_kv(out, "backpressure_stall", p.backpressure_stall);
     append_kv(out, "mark_tasks", p.mark_tasks);
     append_kv(out, "return_tasks", p.return_tasks);
     append_kv(out, "mailbox_high_water", p.mailbox_high_water);
@@ -706,10 +698,12 @@ std::string report_to_json(const TraceReport& r) {
     append_double(out, s.stall_p999_us);
     out += ",\"stall_max_us\":";
     append_double(out, s.stall_max_us);
-    out += ',';
-    append_kv(out, "stall_idle_us", s.stall_idle_us);
-    append_kv(out, "stall_mark_us", s.stall_mark_us);
-    append_kv(out, "stall_quiesce_us", s.stall_quiesce_us, false);
+    out += ",\"stall_idle_us\":";
+    append_double(out, static_cast<double>(s.stall_idle_ns) / 1e3);
+    out += ",\"stall_mark_us\":";
+    append_double(out, static_cast<double>(s.stall_mark_ns) / 1e3);
+    out += ",\"stall_quiesce_us\":";
+    append_double(out, static_cast<double>(s.stall_quiesce_ns) / 1e3);
   }
   out += "},\"deadlocks\":[";
   for (std::size_t i = 0; i < r.deadlocks.size(); ++i) {
@@ -794,20 +788,20 @@ std::string report_to_text(const TraceReport& r) {
   line(out, "");
   line(out, "== per-PE load ==");
   if (r.metrics_enriched)
-    line(out, "%4s %8s %8s %7s %7s %6s %8s %8s %8s %6s %6s %8s %6s %6s", "pe",
+    line(out, "%4s %8s %8s %7s %7s %6s %8s %8s %8s %6s %6s %8s %6s", "pe",
          "waves", "share", "cycles", "idle", "rescq", "marks", "returns",
-         "mbox-hw", "retx", "dupsup", "batched", "bflush", "bstall");
+         "mbox-hw", "retx", "dupsup", "batched", "bflush");
   else
     line(out,
-         "%4s %8s %8s %7s %7s %6s %6s %6s %8s %6s %6s   (run with --metrics "
+         "%4s %8s %8s %7s %7s %6s %6s %6s %8s %6s   (run with --metrics "
          "for task counts)",
          "pe", "waves", "share", "cycles", "idle", "rescq", "retx", "dupsup",
-         "batched", "bflush", "bstall");
+         "batched", "bflush");
   for (const PeLoad& p : r.pes) {
     if (r.metrics_enriched)
       line(out,
            "%4u %8llu %7.1f%% %7llu %6.1f%% %6llu %8llu %8llu %8llu %6llu "
-           "%6llu %8llu %6llu %6llu",
+           "%6llu %8llu %6llu",
            p.pe, (unsigned long long)(p.wave_samples_r + p.wave_samples_t),
            100.0 * p.work_share, (unsigned long long)p.cycles_participated,
            100.0 * p.idle_fraction, (unsigned long long)p.rescue_queued,
@@ -816,20 +810,17 @@ std::string report_to_text(const TraceReport& r) {
            (unsigned long long)p.msg_retransmit,
            (unsigned long long)p.msg_dup_suppressed,
            (unsigned long long)p.msg_batched,
-           (unsigned long long)p.batch_flush,
-           (unsigned long long)p.backpressure_stall);
+           (unsigned long long)p.batch_flush);
     else
       line(out,
-           "%4u %8llu %7.1f%% %7llu %6.1f%% %6llu %6llu %6llu %8llu %6llu "
-           "%6llu",
+           "%4u %8llu %7.1f%% %7llu %6.1f%% %6llu %6llu %6llu %8llu %6llu",
            p.pe, (unsigned long long)(p.wave_samples_r + p.wave_samples_t),
            100.0 * p.work_share, (unsigned long long)p.cycles_participated,
            100.0 * p.idle_fraction, (unsigned long long)p.rescue_queued,
            (unsigned long long)p.msg_retransmit,
            (unsigned long long)p.msg_dup_suppressed,
            (unsigned long long)p.msg_batched,
-           (unsigned long long)p.batch_flush,
-           (unsigned long long)p.backpressure_stall);
+           (unsigned long long)p.batch_flush);
   }
 
   std::uint64_t fault_total = 0;
@@ -855,25 +846,20 @@ std::string report_to_text(const TraceReport& r) {
   // registry counts when --metrics enrichment ran.
   std::uint64_t msgs = r.msgs_batched;
   std::uint64_t flushes = r.batch_flushes;
-  std::uint64_t stalls = r.backpressure_stalls;
   if (r.metrics_enriched) {
-    msgs = flushes = stalls = 0;
+    msgs = flushes = 0;
     for (const PeLoad& p : r.pes) {
       msgs += p.msg_batched;
       flushes += p.batch_flush;
-      stalls += p.backpressure_stall;
     }
   }
-  if (msgs || flushes || stalls) {
+  if (msgs || flushes) {
     line(out, "");
     line(out, "== message batching ==");
-    line(out,
-         "messages batched %llu | flushes %llu (avg %.1f msgs/flush) | "
-         "backpressure stalls %llu",
+    line(out, "messages batched %llu | flushes %llu (avg %.1f msgs/flush)",
          (unsigned long long)msgs, (unsigned long long)flushes,
          flushes ? static_cast<double>(msgs) / static_cast<double>(flushes)
-                 : 0.0,
-         (unsigned long long)stalls);
+                 : 0.0);
   }
 
   // Locality rollup (per-PE counters exist only after --metrics enrichment;
@@ -1004,21 +990,21 @@ std::string report_to_text(const TraceReport& r) {
            "| max %.4gus",
            (unsigned long long)s.stall_ops, s.stall_p50_us, s.stall_p99_us,
            s.stall_p999_us, s.stall_max_us);
-      const std::uint64_t total_us =
-          s.stall_idle_us + s.stall_mark_us + s.stall_quiesce_us;
-      if (total_us)
+      const std::uint64_t total_ns =
+          s.stall_idle_ns + s.stall_mark_ns + s.stall_quiesce_ns;
+      const auto us = [](std::uint64_t ns) {
+        return static_cast<double>(ns) / 1e3;
+      };
+      const auto pct = [&](std::uint64_t ns) {
+        return 100.0 * static_cast<double>(ns) / static_cast<double>(total_ns);
+      };
+      if (total_ns)
         line(out,
-             "stall attribution: idle %llu us (%.1f%%) | marking %llu us "
-             "(%.1f%%) | quiesce %llu us (%.1f%%)",
-             (unsigned long long)s.stall_idle_us,
-             100.0 * static_cast<double>(s.stall_idle_us) /
-                 static_cast<double>(total_us),
-             (unsigned long long)s.stall_mark_us,
-             100.0 * static_cast<double>(s.stall_mark_us) /
-                 static_cast<double>(total_us),
-             (unsigned long long)s.stall_quiesce_us,
-             100.0 * static_cast<double>(s.stall_quiesce_us) /
-                 static_cast<double>(total_us));
+             "stall attribution: idle %.1f us (%.1f%%) | marking %.1f us "
+             "(%.1f%%) | quiesce %.1f us (%.1f%%)",
+             us(s.stall_idle_ns), pct(s.stall_idle_ns), us(s.stall_mark_ns),
+             pct(s.stall_mark_ns), us(s.stall_quiesce_ns),
+             pct(s.stall_quiesce_ns));
     } else if (!r.metrics_enriched) {
       line(out, "(run with --metrics for stall percentiles and attribution)");
     }

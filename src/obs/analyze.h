@@ -80,10 +80,9 @@ struct PeLoad {
   std::uint64_t msg_retransmit = 0;
   std::uint64_t msg_dup_suppressed = 0;
   // Batched-plane attribution (this PE as sender). Counted from kBatchFlush
-  // / kBackpressureStall events; overwritten by --metrics enrichment.
+  // events; overwritten by --metrics enrichment.
   std::uint64_t msg_batched = 0;
   std::uint64_t batch_flush = 0;
-  std::uint64_t backpressure_stall = 0;
   // From --metrics enrichment (enrich_with_metrics_json); 0 until provided.
   std::uint64_t mark_tasks = 0;
   std::uint64_t return_tasks = 0;
@@ -165,15 +164,15 @@ struct SessionSlo {
   double sessions_per_sec = 0.0;
   // --metrics enrichment. Percentiles are the worst (max) across the per-PE
   // histograms — a conservative ceiling, since log-bucket percentiles don't
-  // merge exactly; stall-µs totals are exact counter sums.
+  // merge exactly; the attribution totals are exact counter sums in ns.
   std::uint64_t stall_ops = 0;
   double stall_p50_us = 0.0;
   double stall_p99_us = 0.0;
   double stall_p999_us = 0.0;
   double stall_max_us = 0.0;
-  std::uint64_t stall_idle_us = 0;     // stalled while the collector was idle
-  std::uint64_t stall_mark_us = 0;     // ...while a plane was marking
-  std::uint64_t stall_quiesce_us = 0;  // ...while restructuring was due
+  std::uint64_t stall_idle_ns = 0;     // stalled while the collector was idle
+  std::uint64_t stall_mark_ns = 0;     // ...while a plane was marking
+  std::uint64_t stall_quiesce_ns = 0;  // ...while restructuring was due
   std::uint64_t rejected = 0;          // arrivals refused (store full)
 };
 
@@ -195,11 +194,10 @@ struct TraceReport {
   std::uint64_t faults_injected[kNumFaultKinds] = {};
   std::uint64_t retransmits = 0;
   std::uint64_t dup_suppressed = 0;
-  // Batched-plane totals (kBatchFlush / kBackpressureStall events; all zero
-  // on unbatched traces).
+  // Batched-plane totals (kBatchFlush events; all zero on unbatched
+  // traces).
   std::uint64_t msgs_batched = 0;
   std::uint64_t batch_flushes = 0;
-  std::uint64_t backpressure_stalls = 0;
   // Telemetry-loss accounting (kTraceDrop events: ring overwrites upstream
   // plus events past the per-payload cap; zero on a lossless trace).
   std::uint64_t trace_dropped = 0;

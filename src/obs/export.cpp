@@ -312,15 +312,6 @@ void chrome_emit_events(std::string& out, const std::vector<TraceEvent>& events,
         chrome_instant(out, pid, "batch_flush", e.ts, e.pe, args);
         break;
       }
-      case EventType::kBackpressureStall: {
-        std::string args = "{\"dst_pe\":";
-        append_u64(args, e.a);
-        args += ",\"backlog\":";
-        append_u64(args, e.b);
-        args += "}";
-        chrome_instant(out, pid, "backpressure_stall", e.ts, e.pe, args);
-        break;
-      }
       case EventType::kTraceDrop: {
         std::string args = "{\"ring_dropped\":";
         append_u64(args, e.a);

@@ -64,9 +64,9 @@ const char* counter_name(Counter c) {
     case Counter::kSessionChurnOps: return "session_churn_ops";
     case Counter::kSessionsRejected: return "sessions_rejected";
     case Counter::kMutatorOps: return "mutator_ops";
-    case Counter::kMutatorStallIdleUs: return "mutator_stall_idle_us";
-    case Counter::kMutatorStallMarkUs: return "mutator_stall_mark_us";
-    case Counter::kMutatorStallQuiesceUs: return "mutator_stall_quiesce_us";
+    case Counter::kMutatorStallIdleNs: return "mutator_stall_idle_ns";
+    case Counter::kMutatorStallMarkNs: return "mutator_stall_mark_ns";
+    case Counter::kMutatorStallQuiesceNs: return "mutator_stall_quiesce_ns";
     case Counter::kCount_: break;
   }
   return "?";

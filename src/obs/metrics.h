@@ -42,7 +42,7 @@ enum class Counter : std::uint8_t {
   // Batched message plane (all charged to the sending PE).
   kMsgBatched,         // messages that traveled inside a coalesced batch
   kBatchFlush,         // batches flushed (size cap, age cap, or idle/park)
-  kBackpressureStall,  // spawns that stalled on a saturated peer backlog
+  kBackpressureStall,  // retired, always 0: perfbench still reports it
   // Locality plane (PR 6). Dedup is charged to the spawning PE; steals to
   // the thief; edge counters to the PE owning the edge's source vertex.
   kBoundaryDedup,      // remote child marks suppressed by a boundary summary
@@ -71,9 +71,9 @@ enum class Counter : std::uint8_t {
   kSessionChurnOps,    // churn mutations applied (acquire / drop / inject)
   kSessionsRejected,   // arrivals refused because the store was full
   kMutatorOps,         // timed driver mutations (stall histogram samples)
-  kMutatorStallIdleUs,     // stall µs submitted while the controller was idle
-  kMutatorStallMarkUs,     // stall µs submitted while a plane was marking
-  kMutatorStallQuiesceUs,  // stall µs submitted while restructuring was due
+  kMutatorStallIdleNs,     // stall ns submitted while the controller was idle
+  kMutatorStallMarkNs,     // stall ns submitted while a plane was marking
+  kMutatorStallQuiesceNs,  // stall ns submitted while restructuring was due
   kCount_,
 };
 inline constexpr std::size_t kNumCounters =
@@ -86,7 +86,7 @@ enum class Hist : std::uint8_t {
   kMsgLatency,          // cross-PE delivery latency (sim steps)
   kChannelRtt,          // reliable-channel clean RTT samples (microseconds)
   kBatchFillPct,        // flushed batch fill (percent of the size cap)
-  kMutatorStallUs,      // driver mutation blocked on locks/quiesce (µs)
+  kMutatorStallUs,      // driver mutation blocked on locks/quiesce (float µs)
   kCount_,
 };
 inline constexpr std::size_t kNumHists = static_cast<std::size_t>(Hist::kCount_);

@@ -23,7 +23,6 @@ const char* event_name(EventType t) {
     case EventType::kMsgRetransmit: return "msg_retransmit";
     case EventType::kMsgDupSuppressed: return "dup_suppressed";
     case EventType::kBatchFlush: return "batch_flush";
-    case EventType::kBackpressureStall: return "backpressure_stall";
     case EventType::kTraceDrop: return "trace_drop";
     case EventType::kWorkerLost: return "worker_lost";
     case EventType::kPartitionReassign: return "partition_reassign";

@@ -47,7 +47,6 @@ enum class EventType : std::uint8_t {
   kMsgRetransmit,    // channel: data frame re-sent         pe = sender, a = seq, b = attempt
   kMsgDupSuppressed, // channel: duplicate discarded        pe = receiver, a = seq
   kBatchFlush,       // message plane: batch flushed        pe = sender, a = #messages, b = bytes
-  kBackpressureStall,// engine: spawn stalled on backlog    pe = sender, a = dst, b = backlog
   kTraceDrop,        // telemetry: events lost upstream     a = ring drops, b = payload-cap drops
   kWorkerLost,       // membership: worker declared dead    pe = home PE, a = worker, b = new gen
   kPartitionReassign,// membership: PEs moved to survivors  a = PEs moved, b = survivors

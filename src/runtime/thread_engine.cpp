@@ -20,10 +20,6 @@ constexpr std::size_t kDrainMax = 64;
 // Idle-path stealing: the smallest peer mailbox backlog (tasks) worth
 // taking from.
 constexpr std::size_t kStealMin = 16;
-// Soft backpressure (see maybe_backpressure): the backlog that opens a
-// congestion episode, and the yields spent before disarming the pair.
-constexpr std::uint64_t kBackpressureLimit = 1 << 15;
-constexpr std::uint32_t kBackpressureSpins = 64;
 // Idle parking bound on the mailbox condvar (see pe_loop).
 constexpr std::uint32_t kIdleWaitUs = 100;
 
@@ -81,7 +77,6 @@ ThreadEngine::ThreadEngine(Graph& g, NetOptions net)
   for (PeId pe = 0; pe < g_.num_pes(); ++pe) {
     pes_.push_back(std::make_unique<PeState>());
     pes_[pe]->out.resize(g_.num_pes());
-    pes_[pe]->bp_armed.assign(g_.num_pes(), 1);  // armed
   }
   summary_.reserve(g_.num_pes() * 2u);
   for (std::size_t i = 0; i < g_.num_pes() * 2u; ++i)
@@ -142,7 +137,6 @@ void ThreadEngine::spawn(Task t) {
     pes_[src]->work.push(t);
     return;
   }
-  if (src != dst) maybe_backpressure(src, dst);
   if (ChannelManager* chan = plane_.channel()) {
     std::vector<std::uint8_t> bytes = encode_task(t);
     if (src != dst) reg_.add(src, obs::Counter::kBytesSent, bytes.size());
@@ -174,34 +168,6 @@ void ThreadEngine::stage(PeId src, PeId dst, const Task& t) {
   batch_close(b.bytes, at);
   ++b.tasks;
   if (b.bytes.size() >= net_.reliable.batch_bytes) flush_pair(src, dst);
-}
-
-void ThreadEngine::maybe_backpressure(PeId src, PeId dst) {
-  const std::uint64_t depth = backlog(dst);
-  std::uint8_t& armed = pes_[src]->bp_armed[dst];
-  if (!armed) {
-    // A congestion episode is in progress: sail through until the peer has
-    // genuinely drained (hysteresis at half the limit re-arms the pair).
-    // Yielding per message while the backlog sits above the limit is the
-    // 2-PE cliff: a steady-state mark exchange holds both backlogs near
-    // their high-water, so every spawn paid the full spin budget.
-    if (depth < kBackpressureLimit / 2) armed = 1;
-    return;
-  }
-  if (depth <= kBackpressureLimit) return;
-  reg_.add(src, obs::Counter::kBackpressureStall);
-  DGR_TRACE_EVENT(trace_.get(), obs::EventType::kBackpressureStall, Plane::kR,
-                  static_cast<std::uint16_t>(src), 0,
-                  static_cast<std::uint64_t>(dst), depth);
-  // Soft and strictly bounded: this thread may hold vertex-stripe locks
-  // (globally shared hash stripes) that the congested receiver needs, so
-  // waiting indefinitely could deadlock. Yield a few times; if the peer is
-  // still congested, disarm and let the episode run its course.
-  for (std::uint32_t i = 0; i < kBackpressureSpins; ++i) {
-    std::this_thread::yield();
-    if (backlog(dst) <= kBackpressureLimit) return;
-  }
-  armed = 0;
 }
 
 bool ThreadEngine::admit_mark(Plane plane, VertexId child, std::uint8_t prior,

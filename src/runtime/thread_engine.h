@@ -8,10 +8,10 @@
 // queue, exactly the paper's decentralization claim (E8).
 //
 // Mutations (the cooperating primitives) touch several vertices; callers
-// take the locks of the touch set in id order via LockSet. The restructuring
-// phase runs under a brief global pause (quiesce) — the paper requires only
-// the MARK phase to be concurrent (§4: "we concentrate solely upon the mark
-// phase").
+// run them in atomically(), which takes the touch set's locks in sorted
+// order. The restructuring phase runs under a brief global pause (quiesce)
+// — the paper requires only the MARK phase to be concurrent (§4: "we
+// concentrate solely upon the mark phase").
 //
 // Work list: each PE's pending marking work waits in its WorkList
 // (runtime/work_list.h), M_R marks highest priority first. A task a PE
@@ -45,9 +45,12 @@
 //
 // Backlog figures are in tasks: the mailbox counts the tasks each message
 // carries, and a PE's backlog (mailbox plus the list size it publishes once
-// per pass) drives backpressure, the watchdog and mailbox_high_water. An
-// idle PE parks on its mailbox for at most kIdleWaitUs; a quiesce wakes it
-// at once, since the mutators are held off the gate until every PE parks.
+// per pass) feeds the watchdog and mailbox_high_water. No sender waits on
+// a receiver: as in the paper's machine, a PE spawns a task and moves on,
+// so a mailbox is unbounded and the watchdog's mailbox_saturated warning
+// is the signal of a runaway backlog. An idle PE parks on its mailbox for
+// at most kIdleWaitUs; a quiesce wakes it at once, since the mutators are
+// held off the gate until every PE parks.
 //
 // Locality, always on:
 //   - Boundary summaries: per-(destination PE, plane) tables record the
@@ -91,9 +94,6 @@
 #include "runtime/work_list.h"
 
 namespace dgr {
-
-// Sorted-order acquisition of per-vertex spinlocks; RAII release.
-class VertexLocks;
 
 // The one engine figure the metrics registry does not hold; every counter
 // lives in metrics_registry().
@@ -224,8 +224,6 @@ class ThreadEngine final : public TaskSink, public EngineHooks {
   obs::TraceBuffer* trace() { return trace_.get(); }
 
  private:
-  friend class VertexLocks;
-
   void pe_loop(PeId pe);
   void execute(PeId pe, const Task& t);
   // Receive one mailbox message addressed to `owner` on PE thread `pe` and
@@ -240,16 +238,11 @@ class ThreadEngine final : public TaskSink, public EngineHooks {
   void flush_outgoing(PeId pe, bool force);
   void flush_pair(PeId src, PeId dst);
   // Tasks waiting at `pe`: its mailbox plus its last published list size.
+  // Only the watchdog reads it; no spawn waits on a receiver.
   std::uint64_t backlog(PeId pe) const {
     return pes_[pe]->depth.load(std::memory_order_relaxed) +
            mail_[pe]->pending();
   }
-  // Soft backpressure, edge-triggered per directed PE pair: one bounded
-  // yield episode (counted as backpressure_stall) per congestion event, then
-  // the pair stays disarmed until the backlog halves (docs/PERF.md). Never
-  // blocks. Only PE thread `src` calls this for its own row, so the arming
-  // bytes need no synchronization.
-  void maybe_backpressure(PeId src, PeId dst);
   // Idle-path mailbox stealing: take up to half of the deepest peer
   // mailbox onto pe's work list. Returns true if messages were taken.
   bool try_steal(PeId pe, std::vector<Mailbox::Msg>& buf);
@@ -278,10 +271,9 @@ class ThreadEngine final : public TaskSink, public EngineHooks {
 
   // Cross-PE delivery plane: one mailbox per PE, indexed by destination.
   std::vector<std::unique_ptr<Mailbox>> mail_;
-  // What each PE thread owns alone: its work list, its outgoing byte batch
-  // per destination PE (fast path only; the channel batches on its own) and
-  // its backpressure arming per destination. Other threads read only the
-  // published gauges.
+  // What each PE thread owns alone: its work list and its outgoing byte
+  // batch per destination PE (fast path only; the channel batches on its
+  // own). Other threads read only the published gauges.
   struct OutBatch {
     std::vector<std::uint8_t> bytes;  // kData batch format (net/frame.h)
     std::size_t tasks = 0;
@@ -290,7 +282,6 @@ class ThreadEngine final : public TaskSink, public EngineHooks {
   struct alignas(64) PeState {
     WorkList work;
     std::vector<OutBatch> out;           // [dst]
-    std::vector<std::uint8_t> bp_armed;  // [dst]
     std::vector<std::span<const std::uint8_t>> views;  // split scratch
     std::optional<Task> held;  // hold_task_for_test
     std::atomic<std::uint64_t> depth{0};       // work.size(), once per pass

@@ -352,7 +352,12 @@ bool WorkerEngine::dispatch(NetFrame& f) {
     }
     case FrameType::kSeed: {
       if (desync_ || f.gen != gen_) return true;  // pre-fence traffic: void
-      exec_local(decode_task(f.payload));
+      const std::optional<Task> t = try_decode_task(f.payload);
+      if (!t) {
+        fatal_ = true;
+        return false;
+      }
+      exec_local(*t);
       return true;
     }
     case FrameType::kData: {

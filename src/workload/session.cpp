@@ -157,10 +157,10 @@ std::uint32_t required_capacity(const WorkloadOptions& opt) {
 
 namespace {
 
-std::uint64_t us_between(std::chrono::steady_clock::time_point t0,
+std::uint64_t ns_between(std::chrono::steady_clock::time_point t0,
                          std::chrono::steady_clock::time_point t1) {
   return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count());
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
 }
 
 class SimDriverEngine final : public DriverEngine {
@@ -219,7 +219,7 @@ class ThreadDriverEngine final : public DriverEngine {
     const auto t0 = std::chrono::steady_clock::now();
     std::uint64_t stall = 0;
     eng_.atomically(vs, [&] {
-      stall = us_between(t0, std::chrono::steady_clock::now());
+      stall = ns_between(t0, std::chrono::steady_clock::now());
       fn(eng_.graph(), eng_.mutator());
     });
     return stall;
@@ -254,7 +254,7 @@ class ProcDriverEngine final : public DriverEngine {
     const auto t0 = std::chrono::steady_clock::now();
     std::uint64_t stall = 0;
     eng_.atomically(vs, [&] {
-      stall = us_between(t0, std::chrono::steady_clock::now());
+      stall = ns_between(t0, std::chrono::steady_clock::now());
       fn(eng_.graph(), eng_.mutator());
     });
     return stall;
@@ -360,14 +360,14 @@ void SessionDriver::timed_mutate(PeId pe, std::span<const VertexId> vs,
   // — the phase that takes the mutation gate exclusively).
   Controller& ctl = eng_.controller();
   const obs::Counter bucket =
-      ctl.restructure_due() ? obs::Counter::kMutatorStallQuiesceUs
-      : ctl.idle()          ? obs::Counter::kMutatorStallIdleUs
-                            : obs::Counter::kMutatorStallMarkUs;
-  const std::uint64_t us = eng_.mutate(vs, fn);
+      ctl.restructure_due() ? obs::Counter::kMutatorStallQuiesceNs
+      : ctl.idle()          ? obs::Counter::kMutatorStallIdleNs
+                            : obs::Counter::kMutatorStallMarkNs;
+  const std::uint64_t ns = eng_.mutate(vs, fn);
   obs::MetricsRegistry& reg = eng_.registry();
   reg.add(pe, obs::Counter::kMutatorOps);
-  reg.add(pe, bucket, us);
-  reg.observe(pe, obs::Hist::kMutatorStallUs, static_cast<double>(us));
+  reg.add(pe, bucket, ns);
+  reg.observe(pe, obs::Hist::kMutatorStallUs, static_cast<double>(ns) / 1e3);
   ++totals_.mutator_ops;
 }
 

@@ -132,7 +132,7 @@ class DriverEngine {
   virtual obs::TraceBuffer* trace() = 0;
 
   // Run `fn(graph, mutator)` atomically with the listed vertices' stripe
-  // locks held. Returns the microseconds the call spent blocked before fn
+  // locks held. Returns the nanoseconds the call spent blocked before fn
   // ran (0 on non-blocking engines) — the mutator stall sample. Fresh
   // vertices may be allocated inside fn: the section excludes the
   // restructuring quiesce, so an unreachable fresh vertex cannot be swept
@@ -181,10 +181,13 @@ class MultiDriverEngine final : public DriverEngine {
   }
   obs::TraceBuffer* trace() override { return replicas_[0]->trace(); }
 
+  // Every replica runs the mutation; the stall is the primary's, the one
+  // replica whose registry the driver writes.
   std::uint64_t mutate(std::span<const VertexId> vs,
                        const MutateFn& fn) override {
-    std::uint64_t stall = 0;
-    for (DriverEngine* r : replicas_) stall += r->mutate(vs, fn);
+    const std::uint64_t stall = replicas_[0]->mutate(vs, fn);
+    for (std::size_t i = 1; i < replicas_.size(); ++i)
+      replicas_[i]->mutate(vs, fn);
     return stall;
   }
   void inject(Task t) override {

@@ -8,6 +8,7 @@
 
 #include "obs/analyze.h"
 #include "obs/export.h"
+#include "obs/metrics.h"
 
 namespace dgr::obs {
 namespace {
@@ -213,6 +214,27 @@ TEST(Analyze, TruncatedTraceIsTolerated) {
   EXPECT_EQ(r.complete_cycles, 2u);
   EXPECT_TRUE(r.cycles[0].complete);   // cycle 3: end seen, start missing
   EXPECT_FALSE(r.cycles[2].complete);  // cycle 5: still open at EOF
+  expect_balanced_json(report_to_json(r));
+}
+
+TEST(Analyze, StallAttributionReadsTheNanosecondCounters) {
+  // The registry keeps stall attribution in ns; the report shows µs and
+  // keeps the fraction a whole-µs counter would have lost.
+  MetricsRegistry reg(2);
+  reg.add(0, Counter::kMutatorStallIdleNs, 1500);
+  reg.add(1, Counter::kMutatorStallMarkNs, 2000);
+  reg.add(1, Counter::kMutatorStallQuiesceNs, 500);
+  reg.observe(0, Hist::kMutatorStallUs, 1.5);
+  TraceReport r;
+  ASSERT_TRUE(enrich_with_metrics_json(r, reg.to_json()));
+  EXPECT_EQ(r.sessions.stall_idle_ns, 1500u);
+  EXPECT_EQ(r.sessions.stall_mark_ns, 2000u);
+  EXPECT_EQ(r.sessions.stall_quiesce_ns, 500u);
+  const std::string text = report_to_text(r);
+  EXPECT_NE(text.find("idle 1.5 us (37.5%) | marking 2.0 us (50.0%) | "
+                      "quiesce 0.5 us (12.5%)"),
+            std::string::npos)
+      << text;
   expect_balanced_json(report_to_json(r));
 }
 

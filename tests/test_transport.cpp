@@ -1,7 +1,9 @@
 // Socket-layer isolation tests (docs/CLUSTER.md): the frame codec under
-// adversarial segmentation, and the hub's registration/reconnect discipline —
-// everything below the engines, exercised without an engine.
+// adversarial segmentation, the hub's registration/reconnect discipline —
+// everything below the engines, exercised without an engine — and one
+// worker on a socketpair fed a malformed control frame.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
@@ -14,6 +16,8 @@
 #include "net/proto.h"
 #include "net/socket.h"
 #include "net/socket_hub.h"
+#include "net/wire.h"
+#include "runtime/worker_engine.h"
 
 namespace dgr {
 namespace {
@@ -624,6 +628,34 @@ TEST(SocketHub, FencedSlotRejectsReRegistration) {
   Socket other = dial();
   ASSERT_TRUE(other.valid());
   EXPECT_EQ(HubRig::do_register(other, 0).type, FrameType::kRegisterAck);
+}
+
+// ---- WorkerEngine: a malformed control frame ends the worker nonzero. ----
+
+TEST(WorkerEngine, TruncatedSeedExitsNonzero) {
+  // Every malformed control frame ends a worker with exit status 1, so the
+  // controller sees a lost worker instead of a crashed process. A kShutdown
+  // queued behind the seed tells the two apart from a worker that ignores
+  // the seed, which would exit 0.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  Socket controller(fds[1]);
+  NetFrame seed;
+  seed.type = FrameType::kSeed;
+  seed.payload = encode_task(
+      Task::mark(Plane::kR, VertexId{0, 0}, VertexId::invalid(), 3));
+  seed.payload.pop_back();
+  NetFrame shutdown;
+  shutdown.type = FrameType::kShutdown;
+  for (const NetFrame& f : {seed, shutdown}) {
+    const std::vector<std::uint8_t> wire = encode_frame(f);
+    ASSERT_TRUE(controller.write_all(wire.data(), wire.size()));
+  }
+  WorkerConfig cfg;
+  cfg.num_pes = 1;
+  cfg.pe_count = 1;
+  WorkerEngine worker(Socket(fds[0]), FrameCodec{}, 0, cfg);
+  EXPECT_EQ(worker.run(), 1);
 }
 
 }  // namespace

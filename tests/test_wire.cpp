@@ -48,10 +48,6 @@ TEST(Wire, RoundTripEveryKind) {
     EXPECT_EQ(u->value.kind, t.value.kind);
     EXPECT_EQ(u->value.i, t.value.i);
     EXPECT_EQ(u->value.node, t.value.node);
-    // The trusting decoder agrees on well-formed input.
-    const Task v = decode_task(bytes);
-    EXPECT_EQ(v.kind, t.kind);
-    EXPECT_EQ(v.d, t.d);
   }
 }
 

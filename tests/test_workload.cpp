@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "obs/export.h"
+#include "obs/metrics.h"
 #include "runtime/sim_engine.h"
 #include "runtime/thread_engine.h"
 #include "workload/session.h"
@@ -178,6 +179,83 @@ TEST(WorkloadLifecycle, AllSessionsRetireAndRegionsSweep) {
   // After the drain cycles the only non-aux survivors are the standing
   // fixture: one anchor per PE plus the hot-key set.
   EXPECT_EQ(live, w.pes + w.hot_keys);
+}
+
+// ---- The mutator-stall sample. ----
+
+// A replica whose mutations report a fixed stall: every call is forwarded
+// to a real driver, and mutate() returns `stall_ns` as its stall sample.
+class FixedStallEngine final : public workload::DriverEngine {
+ public:
+  FixedStallEngine(workload::DriverEngine& inner, std::uint64_t stall_ns)
+      : inner_(inner), stall_ns_(stall_ns) {}
+  const char* name() const override { return inner_.name(); }
+  workload::Concurrency concurrency() const override {
+    return inner_.concurrency();
+  }
+  Graph& graph() override { return inner_.graph(); }
+  Controller& controller() override { return inner_.controller(); }
+  obs::MetricsRegistry& registry() override { return inner_.registry(); }
+  obs::TraceBuffer* trace() override { return inner_.trace(); }
+  std::uint64_t mutate(std::span<const VertexId> vs,
+                       const MutateFn& fn) override {
+    inner_.mutate(vs, fn);
+    return stall_ns_;
+  }
+  void inject(Task t) override { inner_.inject(std::move(t)); }
+  void for_each_controller(
+      const std::function<void(Controller&)>& fn) override {
+    inner_.for_each_controller(fn);
+  }
+  void pump(std::uint64_t n) override { inner_.pump(n); }
+  void start_cycle(const CycleOptions& opt) override {
+    inner_.start_cycle(opt);
+  }
+  void wait_cycle_done() override { inner_.wait_cycle_done(); }
+  void wait_quiescent() override { inner_.wait_quiescent(); }
+
+ private:
+  workload::DriverEngine& inner_;
+  std::uint64_t stall_ns_;
+};
+
+TEST(WorkloadStall, FanOutRecordsThePrimaryReplicasStall) {
+  // Only the primary's registry is written, so its stall is the sample; a
+  // sum over replicas would charge it with time it never waited.
+  Graph ga(2, 64), gb(2, 64);
+  SimEngine ea(ga), eb(gb);
+  auto da = workload::make_driver(ea);
+  auto db = workload::make_driver(eb);
+  FixedStallEngine a(*da, 1500), b(*db, 7000);
+  workload::MultiDriverEngine multi({&a, &b});
+  std::vector<Graph*> ran;
+  EXPECT_EQ(multi.mutate({}, [&](Graph& g, Mutator&) { ran.push_back(&g); }),
+            1500u);
+  EXPECT_EQ(ran, (std::vector<Graph*>{&ga, &gb}));  // every replica ran it
+}
+
+TEST(WorkloadStall, StallSamplesKeepFractionalMicroseconds) {
+  const WorkloadOptions w = small_options(3);
+  Graph g(w.pes, workload::required_capacity(w));
+  SimOptions sopt;
+  sopt.seed = w.seed;
+  SimEngine eng(g, sopt);
+  auto inner = workload::make_driver(eng);
+  FixedStallEngine timed(*inner, 1500);
+  SessionDriver drv(timed, w);
+  drv.setup();
+  for (PeId pe = 0; pe < g.num_pes(); ++pe)
+    g.store(pe).set_fixed_capacity(true);
+  drv.run(workload::generate_schedule(w));
+  const obs::MetricsRegistry& reg = eng.metrics_registry();
+  const Histogram stall = reg.merged_hist(obs::Hist::kMutatorStallUs);
+  ASSERT_GT(stall.count(), 0u);
+  EXPECT_EQ(stall.count(), drv.totals().mutator_ops);
+  EXPECT_DOUBLE_EQ(stall.max_value(), 1.5);  // not truncated to 1 µs
+  EXPECT_EQ(reg.total(obs::Counter::kMutatorStallIdleNs) +
+                reg.total(obs::Counter::kMutatorStallMarkNs) +
+                reg.total(obs::Counter::kMutatorStallQuiesceNs),
+            1500u * stall.count());
 }
 
 }  // namespace

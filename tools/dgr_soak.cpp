@@ -420,10 +420,13 @@ int main(int argc, char** argv) {
   }
 
   const workload::SoakTotals& tot = drv.totals();
-  const std::uint64_t stall_total_us =
-      reg.total(obs::Counter::kMutatorStallIdleUs) +
-      reg.total(obs::Counter::kMutatorStallMarkUs) +
-      reg.total(obs::Counter::kMutatorStallQuiesceUs);
+  const auto stall_us = [&](obs::Counter c) {
+    return static_cast<double>(reg.total(c)) / 1e3;
+  };
+  const double stall_idle_us = stall_us(obs::Counter::kMutatorStallIdleNs);
+  const double stall_mark_us = stall_us(obs::Counter::kMutatorStallMarkNs);
+  const double stall_quiesce_us =
+      stall_us(obs::Counter::kMutatorStallQuiesceNs);
 
   // Coverage floor: each configured subject must have been reached.
   bool uncovered = false;
@@ -505,11 +508,10 @@ int main(int argc, char** argv) {
   append_kv(out, "p999", stall.percentile(99.9));
   append_kv(out, "max", stall.max_value(), false);
   out += "},\"stall_attribution_us\":{";
-  append_kv(out, "total", stall_total_us);
-  append_kv(out, "idle", reg.total(obs::Counter::kMutatorStallIdleUs));
-  append_kv(out, "mark", reg.total(obs::Counter::kMutatorStallMarkUs));
-  append_kv(out, "quiesce", reg.total(obs::Counter::kMutatorStallQuiesceUs),
-            false);
+  append_kv(out, "total", stall_idle_us + stall_mark_us + stall_quiesce_us);
+  append_kv(out, "idle", stall_idle_us);
+  append_kv(out, "mark", stall_mark_us);
+  append_kv(out, "quiesce", stall_quiesce_us, false);
   out += "},";
   append_kv(out, "audits", audits);
   append_kv(out, "audit_violations", violations);
