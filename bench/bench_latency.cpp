@@ -134,17 +134,15 @@ void BM_CrossPeTaskThroughput(benchmark::State& state) {
       Task::mark(Plane::kR, VertexId{0, 1}, VertexId{1, 2}, 3);
   std::thread rx([&] {
     std::vector<Mailbox::Msg> buf;
-    std::vector<std::span<const std::uint8_t>> views;
     while (!stop.load(std::memory_order_acquire)) {
       buf.clear();
       // An idle PE parks on its mailbox, bounded (ThreadEngine::pe_loop).
       const std::size_t n = mb.drain_wait(64, buf, 100);
       if (n == 0) continue;
-      for (const Mailbox::Msg& m : buf) {
-        batch_split(m.bytes, views);
-        for (std::span<const std::uint8_t> v : views)
+      for (const Mailbox::Msg& m : buf)
+        batch_for_each(m.bytes, [&](std::span<const std::uint8_t> v) {
           sink += try_decode_task(v)->d.idx;
-      }
+        });
       consumed.fetch_add(n, std::memory_order_release);
     }
   });

@@ -90,28 +90,16 @@ void batch_close(std::vector<std::uint8_t>& batch, std::size_t at) {
           static_cast<std::uint32_t>(batch.size() - at - kBatchPrefixSize));
 }
 
-void batch_append(std::vector<std::uint8_t>& batch,
-                  std::span<const std::uint8_t> msg) {
-  put_u32(batch, static_cast<std::uint32_t>(msg.size()));
-  batch.insert(batch.end(), msg.begin(), msg.end());
-}
-
-bool batch_split(std::span<const std::uint8_t> batch,
-                 std::vector<std::span<const std::uint8_t>>& out) {
-  out.clear();
-  std::size_t pos = 0;
-  while (pos < batch.size()) {
+std::optional<std::size_t> batch_count(std::span<const std::uint8_t> batch) {
+  std::size_t n = 0;
+  for (std::size_t pos = 0; pos < batch.size(); ++n) {
     const std::size_t left = batch.size() - pos;
-    const std::uint32_t len =
-        left < kBatchPrefixSize ? 0 : get_u32(batch.data() + pos);
-    if (left < kBatchPrefixSize || left - kBatchPrefixSize < len) {
-      out.clear();
-      return false;
-    }
-    out.push_back(batch.subspan(pos + kBatchPrefixSize, len));
+    if (left < kBatchPrefixSize) return std::nullopt;
+    const std::uint32_t len = get_u32(batch.data() + pos);
+    if (left - kBatchPrefixSize < len) return std::nullopt;
     pos += kBatchPrefixSize + len;
   }
-  return true;
+  return n;
 }
 
 void FrameCodec::feed(const std::uint8_t* p, std::size_t n) {

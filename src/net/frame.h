@@ -20,18 +20,23 @@
 // Bad magic, unknown version, or an oversized payload is a sticky error:
 // the stream is unframed garbage and the connection must drop.
 //
-// A kData payload is a batch of messages, each prefixed by its length:
+// A task batch — the kData payload on a fault-free plane, and the one
+// payload of a reliable-channel frame (net/reliable_channel.h) under faults
+// — is a run of messages, each prefixed by its length:
 //
 //   repeat { u32 LE length n; n message bytes }
 //
-// WorkerEngine stages one batch per destination PE and sends it as one
-// kData frame. The hub routes a batch by dst without opening it; the
-// receiver splits it and handles each message as if it had arrived alone.
-// A length running past the end, or a tail too short for a length, makes
-// the batch malformed: a protocol error, like a malformed frame.
+// Each engine stages one batch per destination PE and flushes it whole:
+// WorkerEngine as one kData frame (or one channel frame inside one), which
+// the hub routes by dst without opening; ThreadEngine as one mailbox
+// message. MessagePlane::receive (runtime/message_plane.h) splits it and
+// decodes its tasks. A length running past the end, or a tail too short for
+// a length, makes the batch malformed: on a worker a protocol error, like a
+// malformed frame.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -47,7 +52,7 @@ inline constexpr std::size_t kFrameHeaderSize = 20;
 inline constexpr std::uint32_t kMaxFramePayload = 16u << 20;
 
 enum class FrameType : std::uint8_t {
-  kData = 0,      // opaque message-plane payload (task bytes / channel frame)
+  kData = 0,      // message-plane payload: task batch / channel frame
   kSeed = 1,      // controller-originated marking task, bypasses the channel
   kRegister = 2,  // worker → controller: first frame on a connection
   kRegisterAck = 3,  // controller → worker: accepted, carries config
@@ -92,7 +97,7 @@ std::size_t open_frame(std::vector<std::uint8_t>& wire, FrameType type,
                        std::uint16_t gen, PeId src, PeId dst);
 void seal_frame(std::vector<std::uint8_t>& wire, std::size_t at);
 
-// ---- kData batches (format above) ----
+// ---- Task batches (format above) ----
 
 inline constexpr std::size_t kBatchPrefixSize = 4;
 
@@ -100,14 +105,22 @@ inline constexpr std::size_t kBatchPrefixSize = 4;
 // returns the offset to hand to batch_close once its bytes are appended.
 std::size_t batch_open(std::vector<std::uint8_t>& batch);
 void batch_close(std::vector<std::uint8_t>& batch, std::size_t at);
-void batch_append(std::vector<std::uint8_t>& batch,
-                  std::span<const std::uint8_t> msg);
 
-// Replace `out` with views of the batch's messages, in order (no copies: the
-// views point into `batch`). Returns false, with `out` empty, when the batch
-// is malformed.
-bool batch_split(std::span<const std::uint8_t> batch,
-                 std::vector<std::span<const std::uint8_t>>& out);
+// The messages in `batch`, or nullopt when it is malformed.
+std::optional<std::size_t> batch_count(std::span<const std::uint8_t> batch);
+
+// Calls fn(message) for each message of a batch that batch_count accepted,
+// in order. The views point into `batch`: no copies.
+template <class Fn>
+void batch_for_each(std::span<const std::uint8_t> batch, Fn&& fn) {
+  for (std::size_t pos = 0; pos < batch.size();) {
+    const std::uint8_t* p = batch.data() + pos;
+    const std::size_t len = static_cast<std::size_t>(p[0]) | (p[1] << 8) |
+                            (p[2] << 16) | (std::size_t{p[3]} << 24);
+    fn(batch.subspan(pos + kBatchPrefixSize, len));
+    pos += kBatchPrefixSize + len;
+  }
+}
 
 // Incremental frame reassembler for one connection's byte stream.
 class FrameCodec {

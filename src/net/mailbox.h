@@ -1,10 +1,11 @@
 // Per-PE mailbox for the threaded engine: serialized messages, each carrying
 // some number of marking tasks.
 //
-// A message is a byte batch of tasks (net/frame.h) or a reliable-channel
-// frame; the sender says how many tasks it carries. Every backlog figure the
-// mailbox reports (pending, high-water) is in tasks, so it means the same
-// thing whatever the batching.
+// A message is one task batch (net/frame.h) or, under faults, one
+// reliable-channel frame that carries one (or an ack, carrying none); the
+// sender says how many tasks it carries. Every backlog figure the mailbox
+// reports (pending, high-water) is in tasks, so it means the same thing
+// whatever the batching.
 //
 // A mutex+condvar queue rather than a lock-free ring: messages are coarse
 // (whole batches), so the queue is not the bottleneck, and a timed blocking

@@ -31,7 +31,9 @@ namespace dgr {
 // 3: WorkerConfig loses its channel-enable byte (the channel runs exactly
 // when the fault schedule is nonzero). An older worker would misread
 // either, so the hub refuses it at kRegister.
-inline constexpr std::uint32_t kProtoVersion = 3;
+// 4: a channel frame carries exactly one payload, a task batch, and under
+// faults each kData payload is one channel frame instead of a batch of them.
+inline constexpr std::uint32_t kProtoVersion = 4;
 // kRegister flag bits.
 inline constexpr std::uint32_t kRegisterFlagReconnect = 1u << 0;
 // "Assign me any free slot" worker index in a kRegister payload.

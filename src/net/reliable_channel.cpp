@@ -13,8 +13,9 @@ namespace {
 constexpr std::uint8_t kFrameData = 0xD1;
 constexpr std::uint8_t kFrameAck = 0xA7;
 
-// Wire bytes a payload adds to a data frame beyond its own length.
-constexpr std::size_t kPerPayloadOverhead = 4;  // u32 length prefix
+// type(1) + src(4) + dst(4) + seq(8) + ack(8) + payload length(4).
+constexpr std::size_t kFrameHeader = 29;
+constexpr std::size_t kFrameChecksum = 8;
 
 // FNV-1a over the frame bytes preceding the checksum field.
 std::uint64_t fnv1a(const std::uint8_t* p, std::size_t n) {
@@ -26,37 +27,34 @@ std::uint64_t fnv1a(const std::uint8_t* p, std::size_t n) {
   return h;
 }
 
+std::vector<std::uint8_t> encode(bool is_data, PeId src, PeId dst,
+                                 std::uint64_t seq, std::uint64_t ack,
+                                 ByteSpan payload) {
+  std::vector<std::uint8_t> buf;
+  buf.reserve(kFrameHeader + payload.size() + kFrameChecksum);
+  ByteWriter w(std::move(buf));
+  w.u8(is_data ? kFrameData : kFrameAck);
+  w.u32(src);
+  w.u32(dst);
+  w.u64(seq);
+  w.u64(ack);
+  w.u32(static_cast<std::uint32_t>(payload.size()));
+  std::vector<std::uint8_t> out = w.take();
+  out.insert(out.end(), payload.begin(), payload.end());
+  const std::uint64_t sum = fnv1a(out.data(), out.size());
+  ByteWriter tail(std::move(out));
+  tail.u64(sum);
+  return tail.take();
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode_frame(const ChannelFrame& f) {
-  ByteWriter w;
-  w.u8(f.is_data ? kFrameData : kFrameAck);
-  w.u32(f.src);
-  w.u32(f.dst);
-  w.u64(f.seq);
-  w.u64(f.ack);
-  w.u32(static_cast<std::uint32_t>(f.payloads.size()));
-  std::vector<std::uint8_t> out = w.take();
-  for (const auto& p : f.payloads) {
-    ByteWriter len;
-    len.u32(static_cast<std::uint32_t>(p.size()));
-    std::vector<std::uint8_t> l = len.take();
-    out.insert(out.end(), l.begin(), l.end());
-    out.insert(out.end(), p.begin(), p.end());
-  }
-  const std::uint64_t sum = fnv1a(out.data(), out.size());
-  ByteWriter tail;
-  tail.u64(sum);
-  std::vector<std::uint8_t> t = tail.take();
-  out.insert(out.end(), t.begin(), t.end());
-  return out;
+  return encode(f.is_data, f.src, f.dst, f.seq, f.ack, f.payload);
 }
 
 std::optional<ChannelFrame> try_decode_frame(ByteSpan bytes) {
-  // type(1) + src(4) + dst(4) + seq(8) + ack(8) + count(4) + checksum(8)
-  constexpr std::size_t kMinFrame = 37;
-  if (bytes.size() < kMinFrame) return std::nullopt;
-  const std::uint64_t want = fnv1a(bytes.data(), bytes.size() - 8);
+  if (bytes.size() < kFrameHeader + kFrameChecksum) return std::nullopt;
   ByteReader r(bytes);
   ChannelFrame f;
   const std::uint8_t type = r.u8();
@@ -64,38 +62,27 @@ std::optional<ChannelFrame> try_decode_frame(ByteSpan bytes) {
   f.dst = r.u32();
   f.seq = r.u64();
   f.ack = r.u64();
-  const std::uint32_t count = r.u32();
-  if (type == kFrameData) {
-    f.is_data = true;
-  } else if (type == kFrameAck) {
-    f.is_data = false;
-  } else {
+  const std::uint32_t len = r.u32();
+  if (type != kFrameData && type != kFrameAck) return std::nullopt;
+  f.is_data = type == kFrameData;
+  // The length must account for every byte between header and checksum, so
+  // a truncated frame fails here before the checksum is even consulted.
+  if (r.remaining() != static_cast<std::size_t>(len) + kFrameChecksum)
     return std::nullopt;
-  }
-  f.payloads.reserve(std::min<std::size_t>(count, r.remaining()));
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint32_t len = r.u32();
-    // Bounds-check before allocating: a corrupted length must not trigger a
-    // huge resize (the checksum already vetted the bytes, but stay paranoid).
-    if (!r.ok() || r.remaining() < static_cast<std::size_t>(len) + 8)
-      return std::nullopt;
-    std::vector<std::uint8_t> p(len);
-    for (std::uint32_t j = 0; j < len; ++j) p[j] = r.u8();
-    f.payloads.push_back(std::move(p));
-  }
-  if (r.remaining() != 8) return std::nullopt;
-  const std::uint64_t got = r.u64();
-  if (!r.done() || got != want) return std::nullopt;
+  const std::size_t body = kFrameHeader + len;
+  std::uint64_t got;
+  std::memcpy(&got, bytes.data() + body, sizeof got);
+  if (got != fnv1a(bytes.data(), body)) return std::nullopt;
+  f.payload.assign(bytes.begin() + kFrameHeader, bytes.begin() + body);
   return f;
 }
 
-std::size_t frame_payload_count(ByteSpan bytes) {
-  // type(1) + src(4) + dst(4) + seq(8) + ack(8), then the u32 count.
-  constexpr std::size_t kCountAt = 25;
-  if (bytes.size() < kCountAt + 4 || bytes[0] != kFrameData) return 0;
-  std::uint32_t count;
-  std::memcpy(&count, bytes.data() + kCountAt, sizeof count);
-  return std::min<std::size_t>(count, bytes.size() / kPerPayloadOverhead);
+ByteSpan frame_payload(ByteSpan bytes) {
+  if (bytes.size() < kFrameHeader || bytes[0] != kFrameData) return {};
+  std::uint32_t len;
+  std::memcpy(&len, bytes.data() + kFrameHeader - 4, sizeof len);
+  return bytes.subspan(
+      kFrameHeader, std::min<std::size_t>(len, bytes.size() - kFrameHeader));
 }
 
 ChannelManager::ChannelManager(std::uint32_t num_pes, ReliableOptions opt,
@@ -116,114 +103,40 @@ std::uint64_t ChannelManager::rto_us(std::uint32_t shift) const {
   return std::min(rto, opt_.rto_max_us ? opt_.rto_max_us : rto);
 }
 
-std::uint64_t ChannelManager::take_piggyback(PeId src, PeId dst,
-                                             bool* had_deferred) {
+std::uint64_t ChannelManager::take_piggyback(PeId src, PeId dst) {
   // Reverse channel (dst → src): its receiver side lives at `src`, i.e. the
   // PE about to transmit — the cumulative frontier we can piggyback.
   Channel& rev = channel(dst, src);
   std::lock_guard<std::mutex> lk(rev.mu);
-  *had_deferred = rev.ack_pending;
   rev.ack_pending = false;
   return rev.next_expected - 1;
 }
 
-void ChannelManager::restore_deferred_ack(PeId src, PeId dst) {
-  Channel& rev = channel(dst, src);
-  std::uint64_t cum = 0;
-  {
-    std::lock_guard<std::mutex> lk(rev.mu);
-    cum = rev.next_expected - 1;
-    ++rev.stats.acks_sent;
-  }
-  // The data frame that would have piggybacked it never materialized: send
-  // the owed ack standalone instead of re-arming a timer.
-  send_standalone_ack(dst, src, cum);
-}
-
 void ChannelManager::send_standalone_ack(PeId src, PeId dst,
                                          std::uint64_t cum) {
-  ChannelFrame ack;
-  ack.is_data = false;
-  ack.src = src;
-  ack.dst = dst;
-  ack.seq = cum;
-  send_(dst, src, encode_frame(ack));
+  send_(dst, src, encode(/*is_data=*/false, src, dst, cum, 0, {}));
 }
 
-void ChannelManager::send(PeId src, PeId dst, Bytes payload,
+void ChannelManager::send(PeId src, PeId dst, ByteSpan payload,
                           std::uint64_t now_us) {
-  // Stage the payload; flush at the size cap (the age cap is service()'s
-  // job, flush() the idle sender's). A zero cap flushes every payload as its
-  // own frame.
-  Channel& ch = channel(src, dst);
-  bool flush_now = false;
-  {
-    std::lock_guard<std::mutex> lk(ch.mu);
-    if (ch.pending.empty())
-      ch.batch_deadline_us = now_us + opt_.batch_flush_us;
-    ch.pending_bytes += payload.size() + kPerPayloadOverhead;
-    ch.pending.push_back(std::move(payload));
-    flush_now = ch.pending_bytes >= opt_.batch_bytes;
-  }
-  if (flush_now) flush_pair(src, dst, now_us);
-}
-
-void ChannelManager::flush_pair(PeId src, PeId dst, std::uint64_t now_us) {
-  // Lock discipline: never hold two channel mutexes. Take the reverse
-  // channel's piggyback first; if the batch turns out empty (another thread
-  // raced the flush), repay the consumed deferred ack standalone.
-  bool had_deferred = false;
-  const std::uint64_t pig = take_piggyback(src, dst, &had_deferred);
+  // Lock discipline: never hold two channel mutexes, so the reverse
+  // channel's piggyback is taken first. The frame it rides on is sent
+  // unconditionally, so the consumed deferred ack always reaches the peer.
+  const std::uint64_t pig = take_piggyback(src, dst);
   Channel& ch = channel(src, dst);
   Bytes frame;
-  std::size_t count = 0;
   {
     std::lock_guard<std::mutex> lk(ch.mu);
-    if (!ch.pending.empty()) {
-      ChannelFrame f;
-      f.is_data = true;
-      f.src = src;
-      f.dst = dst;
-      f.seq = ch.next_seq++;
-      f.ack = pig;
-      f.payloads = std::move(ch.pending);
-      ch.pending.clear();
-      ch.pending_bytes = 0;
-      count = f.payloads.size();
-      frame = encode_frame(f);
-      const bool was_empty = ch.unacked.empty();
-      ch.unacked.emplace(f.seq, Unacked{frame, now_us, 1});
-      if (was_empty) {
-        ch.backoff_shift = 0;
-        ch.rto_deadline_us = now_us + rto_us(0);
-      }
-      ++ch.stats.data_sent;
-      ++ch.stats.batch_flushes;
-      ch.stats.payloads_coalesced += count;
+    const std::uint64_t seq = ch.next_seq++;
+    frame = encode(/*is_data=*/true, src, dst, seq, pig, payload);
+    if (ch.unacked.empty()) {
+      ch.backoff_shift = 0;
+      ch.rto_deadline_us = now_us + rto_us(0);
     }
+    ch.unacked.emplace(seq, Unacked{frame, now_us, 1});
+    ++ch.stats.data_sent;
   }
-  if (count == 0) {
-    // Lost the race to another flush — but the deferred-ack obligation we
-    // consumed in take_piggyback must still reach the peer.
-    if (had_deferred) restore_deferred_ack(src, dst);
-    return;
-  }
-  const std::size_t frame_bytes = frame.size();
   send_(src, dst, std::move(frame));
-  if (hooks_.on_batch_flush)
-    hooks_.on_batch_flush(src, dst, count, frame_bytes);
-}
-
-void ChannelManager::flush(PeId pe, std::uint64_t now_us) {
-  for (PeId dst = 0; dst < num_pes_; ++dst) {
-    bool has_pending;
-    {
-      Channel& ch = channel(pe, dst);
-      std::lock_guard<std::mutex> lk(ch.mu);
-      has_pending = !ch.pending.empty();
-    }
-    if (has_pending) flush_pair(pe, dst, now_us);
-  }
 }
 
 std::vector<ChannelManager::Bytes> ChannelManager::on_frame(
@@ -242,12 +155,12 @@ std::vector<ChannelManager::Bytes> ChannelManager::on_frame(
   }
   if (f->dst >= num_pes_ || f->src >= num_pes_) return {};
   if (f->is_data) return on_data(*f, now_us);
-  on_ack(*f, now_us);
+  process_ack(f->src, f->dst, f->seq, now_us);
   return {};
 }
 
 std::vector<ChannelManager::Bytes> ChannelManager::on_data(
-    const ChannelFrame& f, std::uint64_t now_us) {
+    ChannelFrame& f, std::uint64_t now_us) {
   // A data frame s → d may piggyback d's cumulative frontier for the
   // reverse channel (d → s): credit it before touching receive state.
   if (f.ack > 0) process_ack(f.dst, f.src, f.ack, now_us);
@@ -260,12 +173,12 @@ std::vector<ChannelManager::Bytes> ChannelManager::on_data(
       ++ch.stats.dup_suppressed;
       if (hooks_.on_dup_suppressed) hooks_.on_dup_suppressed(f.dst, f.src, f.seq);
     } else {
-      ch.out_of_order.emplace(f.seq, f.payloads);
+      ch.out_of_order.emplace(f.seq, std::move(f.payload));
       // Drain the in-order run starting at next_expected.
       for (auto it = ch.out_of_order.find(ch.next_expected);
            it != ch.out_of_order.end() && it->first == ch.next_expected;
            it = ch.out_of_order.find(ch.next_expected)) {
-        for (Bytes& p : it->second) out.push_back(std::move(p));
+        out.push_back(std::move(it->second));
         ch.out_of_order.erase(it);
         ++ch.next_expected;
       }
@@ -281,10 +194,6 @@ std::vector<ChannelManager::Bytes> ChannelManager::on_data(
     }
   }
   return out;
-}
-
-void ChannelManager::on_ack(const ChannelFrame& f, std::uint64_t now_us) {
-  process_ack(f.src, f.dst, f.seq, now_us);
 }
 
 void ChannelManager::process_ack(PeId src, PeId dst, std::uint64_t cum,
@@ -315,13 +224,6 @@ void ChannelManager::process_ack(PeId src, PeId dst, std::uint64_t cum,
 void ChannelManager::service(PeId pe, std::uint64_t now_us) {
   for (PeId dst = 0; dst < num_pes_; ++dst) {
     Channel& ch = channel(pe, dst);
-    // Aged batch flush (sender side).
-    bool aged;
-    {
-      std::lock_guard<std::mutex> lk(ch.mu);
-      aged = !ch.pending.empty() && now_us >= ch.batch_deadline_us;
-    }
-    if (aged) flush_pair(pe, dst, now_us);
     // Retransmit timer.
     std::vector<Bytes> resend;
     std::vector<std::pair<std::uint64_t, std::uint32_t>> notes;  // seq,attempt
@@ -377,8 +279,6 @@ ChannelManager::Stats ChannelManager::stats() const {
     total.acks_sent += ch.stats.acks_sent;
     total.decode_errors += ch.stats.decode_errors;
     total.unacked += ch.unacked.size();
-    total.batch_flushes += ch.stats.batch_flushes;
-    total.payloads_coalesced += ch.stats.payloads_coalesced;
   }
   return total;
 }

@@ -15,22 +15,19 @@
 //              releases payloads strictly in sequence, and duplicate
 //              suppression (seq below the in-order frontier or already
 //              buffered);
-//   framing    every frame carries its payload lengths and an FNV-1a
+//   framing    every frame carries its payload length and an FNV-1a
 //              checksum, so a truncated or corrupted frame fails decode
 //              recoverably and is simply dropped — retransmission recovers
-//              the payloads.
+//              the payload.
 //
-// Batching: outgoing payloads for each directed PE pair coalesce into a
-// single multi-payload data frame, flushed when the pending batch reaches
-// batch_bytes or ages past batch_flush_us (serviced from the owning PE's
-// loop, or forced via flush()). One frame = one sequence number = one ack,
-// so the per-message protocol cost (framing, checksum, ack traffic, mailbox
-// crossings) amortizes over the whole batch. Acks piggyback on
+// A data frame carries exactly one payload, framed and transmitted the
+// moment send() is called. The channel does no coalescing of its own: the
+// engines hand it whole task batches (their per-pair byte batches, one
+// payload per flush), so one frame = one sequence number = one ack already
+// amortizes the per-message protocol cost over a batch. Acks piggyback on
 // reverse-direction data frames (the `ack` field carries the receiver's
 // cumulative frontier); standalone acks are deferred up to batch_flush_us
-// and sent from service() only when no reverse data materializes. With
-// batch_bytes == 0 every payload flushes as its own frame; acks are still
-// deferred or piggybacked.
+// and sent from service() only when no reverse data materializes.
 //
 // Frames leave through a SendFn (the fault plane, a bare mailbox, or a test
 // harness) and arrive via on_frame. Time is passed in explicitly
@@ -56,9 +53,9 @@ struct ReliableOptions {
   std::uint64_t rto_initial_us = 300;  // first retransmit timeout
   std::uint64_t rto_max_us = 20000;    // backoff cap
   std::uint32_t max_retransmit_batch = 32;  // frames re-sent per service()
-  // Batching knobs (see header comment). 0 = one payload per frame.
-  std::uint32_t batch_bytes = 4096;    // coalesce payloads per pair up to this
-  std::uint64_t batch_flush_us = 100;  // age cap: pending batch / deferred ack
+  // The engines' task-batch knobs, on the bare plane and under faults alike.
+  std::uint32_t batch_bytes = 4096;    // batch size cap; 0 = one task a batch
+  std::uint64_t batch_flush_us = 100;  // batch age cap; the channel's ack delay
 };
 
 // The one message-plane configuration, held by every engine (ThreadEngine,
@@ -81,20 +78,20 @@ struct ChannelFrame {
   // Data frames: piggybacked cumulative ack for the reverse channel
   // (dst → src); 0 = no information. Always 0 on standalone ack frames.
   std::uint64_t ack = 0;
-  // Data frames carry one or more payloads, delivered as a unit in frame-
-  // sequence order. Ack frames carry none.
-  std::vector<std::vector<std::uint8_t>> payloads;
+  // A data frame's one payload, delivered in frame-sequence order. Empty on
+  // ack frames.
+  std::vector<std::uint8_t> payload;
 };
 
 std::vector<std::uint8_t> encode_frame(const ChannelFrame& f);
 // nullopt on truncated input or checksum mismatch — never aborts.
 std::optional<ChannelFrame> try_decode_frame(
     std::span<const std::uint8_t> bytes);
-// The payload count a data frame's header claims, read without decoding or
-// checking the frame (0 for an ack frame or a header too short to tell). A
-// mailbox counts a frame's tasks with it. Bounded by the frame's size, so a
-// corrupted count cannot claim more payloads than the bytes could hold.
-std::size_t frame_payload_count(std::span<const std::uint8_t> bytes);
+// The payload a data frame carries, read without checking the frame (empty
+// for an ack frame or a header too short to tell; clipped to the frame's
+// bytes). A mailbox counts a frame's tasks with it.
+std::span<const std::uint8_t> frame_payload(
+    std::span<const std::uint8_t> bytes);
 
 class ChannelManager {
  public:
@@ -115,11 +112,6 @@ class ChannelManager {
     // Clean (never-retransmitted) round-trip time sample for a frame sent
     // by `src` (Karn's rule: retransmitted frames yield no RTT sample).
     std::function<void(PeId src, double rtt_us)> on_rtt;
-    // A data frame left the sender (fires once per flush, with the payload
-    // count and frame size).
-    std::function<void(PeId src, PeId dst, std::size_t payloads,
-                       std::size_t frame_bytes)>
-        on_batch_flush;
   };
 
   ChannelManager(std::uint32_t num_pes, ReliableOptions opt, SendFn send);
@@ -129,13 +121,10 @@ class ChannelManager {
 
   void set_hooks(Hooks h) { hooks_ = std::move(h); }
 
-  // Sender side: stage `payload` in (src → dst)'s pending batch; flushed at
-  // batch_bytes, at age batch_flush_us (via service), or on flush().
-  void send(PeId src, PeId dst, Bytes payload, std::uint64_t now_us);
-
-  // Force-flush every pending batch whose sender is `pe`. Call when the
-  // owning PE goes idle or parks: latency floor for stragglers.
-  void flush(PeId pe, std::uint64_t now_us);
+  // Sender side: frame `payload` as (src → dst)'s next data frame, keep it
+  // for retransmission until acked, and transmit it now.
+  void send(PeId src, PeId dst, std::span<const std::uint8_t> payload,
+            std::uint64_t now_us);
 
   // Receiver side: feed one raw frame that arrived at `pe`. Returns the
   // payloads newly deliverable in order (possibly none: out-of-order data,
@@ -143,9 +132,9 @@ class ChannelManager {
   std::vector<Bytes> on_frame(PeId pe, std::span<const std::uint8_t> frame,
                               std::uint64_t now_us);
 
-  // Timers for PE `pe`: retransmits and aged batch flushes for channels it
-  // sends on, plus due deferred acks for channels it receives on. Call from
-  // the owning PE's loop; cheap when nothing is due.
+  // Timers for PE `pe`: retransmits for channels it sends on, plus due
+  // deferred acks for channels it receives on. Call from the owning PE's
+  // loop; cheap when nothing is due.
   void service(PeId pe, std::uint64_t now_us);
 
   struct Stats {
@@ -156,8 +145,6 @@ class ChannelManager {
     std::uint64_t acks_sent = 0;        // standalone ack frames
     std::uint64_t decode_errors = 0;
     std::uint64_t unacked = 0;          // snapshot: still awaiting ack
-    std::uint64_t batch_flushes = 0;    // batch frames sent
-    std::uint64_t payloads_coalesced = 0;  // payloads inside those frames
   };
   Stats stats() const;  // aggregate over all channels
   // Frames sent on (src → dst) and not yet cumulatively acked.
@@ -176,13 +163,9 @@ class ChannelManager {
     std::map<std::uint64_t, Unacked> unacked;
     std::uint64_t rto_deadline_us = 0;
     std::uint32_t backoff_shift = 0;
-    // Sender batching state: payloads staged for the next flush.
-    std::vector<Bytes> pending;
-    std::size_t pending_bytes = 0;  // payload bytes + per-payload framing
-    std::uint64_t batch_deadline_us = 0;
     // Receiver state (owned by dst's side).
     std::uint64_t next_expected = 1;
-    std::map<std::uint64_t, std::vector<Bytes>> out_of_order;
+    std::map<std::uint64_t, Bytes> out_of_order;
     // Receiver deferred-ack state: a standalone ack owed for
     // data already delivered, sent by service() unless a reverse-direction
     // data frame piggybacks it first.
@@ -199,17 +182,12 @@ class ChannelManager {
     return *channels_[static_cast<std::size_t>(src) * num_pes_ + dst];
   }
   std::uint64_t rto_us(std::uint32_t shift) const;
-  std::vector<Bytes> on_data(const ChannelFrame& f, std::uint64_t now_us);
-  void on_ack(const ChannelFrame& f, std::uint64_t now_us);
+  std::vector<Bytes> on_data(ChannelFrame& f, std::uint64_t now_us);
   // Apply a cumulative ack `cum` against sender channel (src → dst).
   void process_ack(PeId src, PeId dst, std::uint64_t cum, std::uint64_t now_us);
   // Consume the reverse channel's piggyback: returns (dst → src)'s cumulative
-  // frontier and clears its deferred-ack obligation. `restore` undoes the
-  // clear when the caller ends up not sending a data frame after all.
-  std::uint64_t take_piggyback(PeId src, PeId dst, bool* had_deferred);
-  void restore_deferred_ack(PeId src, PeId dst);
-  // Seal (src → dst)'s pending batch into one data frame and transmit it.
-  void flush_pair(PeId src, PeId dst, std::uint64_t now_us);
+  // frontier and clears its deferred-ack obligation.
+  std::uint64_t take_piggyback(PeId src, PeId dst);
   void send_standalone_ack(PeId src, PeId dst, std::uint64_t cum);
 
   std::uint32_t num_pes_;

@@ -48,11 +48,6 @@ MessagePlane::MessagePlane(std::uint32_t num_pes, const NetOptions& net,
   hooks.on_rtt = [sink](PeId src, double rtt_us) {
     sink->reg->observe(src, obs::Hist::kChannelRtt, rtt_us);
   };
-  hooks.on_batch_flush = [sink, cap = net.reliable.batch_bytes](
-                             PeId src, PeId, std::size_t payloads,
-                             std::size_t frame_bytes) {
-    note_batch_flush(*sink->reg, sink->trace, src, payloads, frame_bytes, cap);
-  };
   chan_->set_hooks(std::move(hooks));
 }
 

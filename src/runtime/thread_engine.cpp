@@ -58,7 +58,8 @@ ThreadEngine::ThreadEngine(Graph& g, NetOptions net)
       t0_(std::chrono::steady_clock::now()),
       plane_(g.num_pes(), net,
              [this](PeId, PeId dst, FaultPlane::Bytes frame) {
-               const std::size_t tasks = frame_payload_count(frame);
+               const std::size_t tasks =
+                   batch_count(frame_payload(frame)).value_or(0);
                mail_[dst]->deliver(std::move(frame), tasks);
              },
              reg_),
@@ -137,22 +138,15 @@ void ThreadEngine::spawn(Task t) {
     pes_[src]->work.push(t);
     return;
   }
-  if (ChannelManager* chan = plane_.channel()) {
-    std::vector<std::uint8_t> bytes = encode_task(t);
-    if (src != dst) reg_.add(src, obs::Counter::kBytesSent, bytes.size());
-    chan->send(src, dst, std::move(bytes), now_us());
-    return;
-  }
   if (tl_pe >= 0) {
     stage(src, dst, t);
     return;
   }
-  // From outside the PE threads: a batch of one, delivered at once.
-  std::vector<std::uint8_t> batch;
-  const std::size_t at = batch_open(batch);
-  append_task(batch, t);
-  batch_close(batch, at);
-  mail_[dst]->deliver(std::move(batch), 1);
+  // From outside the PE threads: a batch of one, sent at once.
+  OutBatch one;
+  batch_append_task(one.bytes, t);
+  one.tasks = 1;
+  flush_batch(src, dst, one);
 }
 
 void ThreadEngine::stage(PeId src, PeId dst, const Task& t) {
@@ -161,13 +155,9 @@ void ThreadEngine::stage(PeId src, PeId dst, const Task& t) {
     b.deadline_us = now_us() + net_.reliable.batch_flush_us;
     b.bytes.reserve(net_.reliable.batch_bytes + 64);
   }
-  const std::size_t at = batch_open(b.bytes);
-  append_task(b.bytes, t);
-  reg_.add(src, obs::Counter::kBytesSent,
-           b.bytes.size() - at - kBatchPrefixSize);
-  batch_close(b.bytes, at);
+  reg_.add(src, obs::Counter::kBytesSent, batch_append_task(b.bytes, t));
   ++b.tasks;
-  if (b.bytes.size() >= net_.reliable.batch_bytes) flush_pair(src, dst);
+  if (b.bytes.size() >= net_.reliable.batch_bytes) flush_batch(src, dst, b);
 }
 
 bool ThreadEngine::admit_mark(Plane plane, VertexId child, std::uint8_t prior,
@@ -211,24 +201,23 @@ void ThreadEngine::count_edge_cut() {
   });
 }
 
-void ThreadEngine::flush_pair(PeId src, PeId dst) {
-  OutBatch& b = pes_[src]->out[dst];
-  if (b.tasks == 0) return;
+void ThreadEngine::flush_batch(PeId src, PeId dst, OutBatch& b) {
   note_batch_flush(reg_, trace_.get(), src, b.tasks, b.bytes.size(),
                    net_.reliable.batch_bytes);
-  mail_[dst]->deliver(std::move(b.bytes), b.tasks);
-  b.bytes = {};
+  if (ChannelManager* chan = plane_.channel())
+    chan->send(src, dst, b.bytes, now_us());
+  else
+    mail_[dst]->deliver(std::move(b.bytes), b.tasks);
+  b.bytes.clear();
   b.tasks = 0;
   b.deadline_us = 0;
 }
 
 void ThreadEngine::flush_outgoing(PeId pe, bool force) {
-  // Nothing is ever staged on the channel path.
-  if (plane_.channel()) return;
   std::uint64_t now = 0;
   bool now_set = false;
   for (PeId dst = 0; dst < g_.num_pes(); ++dst) {
-    const OutBatch& b = pes_[pe]->out[dst];
+    OutBatch& b = pes_[pe]->out[dst];
     if (b.tasks == 0) continue;
     if (!force && b.bytes.size() < net_.reliable.batch_bytes) {
       if (!now_set) {
@@ -237,7 +226,7 @@ void ThreadEngine::flush_outgoing(PeId pe, bool force) {
       }
       if (now < b.deadline_us) continue;
     }
-    flush_pair(pe, dst);
+    flush_batch(pe, dst, b);
   }
 }
 
@@ -299,10 +288,7 @@ void ThreadEngine::pe_loop(PeId pe) {
       // idle is when retransmit timers matter — a dropped frame leaves the
       // mailbox empty until this PE re-sends it.
       flush_outgoing(pe, /*force=*/true);
-      if (chan) {
-        chan->flush(pe, now_us());
-        chan->service(pe, now_us());
-      }
+      if (chan) chan->service(pe, now_us());
       // Balance the survivors: an idle PE takes half of the deepest peer
       // backlog instead of parking — on a congested pair this turns the
       // ping-pong idle time into useful marking work.
@@ -369,19 +355,11 @@ std::size_t ThreadEngine::receive(PeId pe, PeId owner,
                                   const Mailbox::Msg& msg) {
   WorkList& work = pes_[pe]->work;
   std::size_t queued = 0;
-  const auto push = [&](const Task& t) {
-    work.push(t);
-    ++queued;
-  };
-  const auto now = [this] { return now_us(); };
-  if (plane_.channel()) {
-    plane_.receive(pe, owner, msg.bytes, now, push);
-  } else if (batch_split(msg.bytes, pes_[pe]->views)) {
-    for (std::span<const std::uint8_t> v : pes_[pe]->views)
-      plane_.receive(pe, owner, v, now, push);
-  } else {
-    reg_.add(pe, obs::Counter::kMsgDecodeError);
-  }
+  plane_.receive(pe, owner, msg.bytes, [this] { return now_us(); },
+                 [&](const Task& t) {
+                   work.push(t);
+                   ++queued;
+                 });
   return queued;
 }
 

@@ -25,23 +25,21 @@
 // count. Every safe point checks that no task is left (quiesce_begin).
 //
 // Message plane (NetOptions, net/reliable_channel.h). Cross-PE messages
-// land in per-PE mailboxes. With a nonzero fault schedule every cross-PE
-// marking message crosses the shared MessagePlane stack
-// (runtime/message_plane.h): the engine sees exactly-once in-order delivery
-// while the wire drops, duplicates, reorders and truncates under it. With
-// no faults, messages go straight to the destination mailbox.
+// land in per-PE mailboxes; each is one task batch (net/frame.h). With a
+// nonzero fault schedule every batch crosses the shared MessagePlane stack
+// (runtime/message_plane.h) as the one payload of a channel frame: the
+// engine sees exactly-once in-order delivery while the wire drops,
+// duplicates, reorders and truncates under it. With no faults a batch goes
+// straight to the destination mailbox.
 //
 // Batching: cross-PE spawns from a PE thread coalesce per directed PE pair
-// — on the fast path into one length-prefixed byte batch (net/frame.h, the
-// kData batch format WorkerEngine sends over sockets) delivered to the
-// destination mailbox as one message, on the channel path into
-// multi-payload frames. Both read reliable.batch_bytes and
-// reliable.batch_flush_us. A batch flushes when it reaches batch_bytes, ages
-// past batch_flush_us, or its owning PE goes idle. batch_bytes == 0
-// flushes every staged task at once (a batch of one) and puts each channel
-// payload in its own frame; the channel's acks stay deferred or piggybacked
-// either way. Spawns from outside the PE threads (root seeds, mutators)
-// arrive as batches of one.
+// into one length-prefixed byte batch (the format WorkerEngine sends over
+// sockets), on both planes; flush_batch is the one routine that sends it.
+// A batch flushes when it reaches reliable.batch_bytes, ages past
+// reliable.batch_flush_us, or its owning PE goes idle. batch_bytes == 0
+// flushes every staged task at once (a batch of one). Spawns from outside
+// the PE threads (root seeds, mutators) leave as batches of one. The
+// channel's acks stay deferred or piggybacked either way.
 //
 // Backlog figures are in tasks: the mailbox counts the tasks each message
 // carries, and a PE's backlog (mailbox plus the list size it publishes once
@@ -171,8 +169,8 @@ class ThreadEngine final : public TaskSink, public EngineHooks {
   void collect_task_refs(std::vector<TaskRef>& out);
 
   // Marking tasks still waiting: on every PE's work list, in its staged
-  // batch rows and, on the bare path, in its mailbox. Read only while no PE
-  // thread runs (at the safe point, or after stop()).
+  // batch rows (on both planes) and, on the bare plane, in its mailbox. Read
+  // only while no PE thread runs (at the safe point, or after stop()).
   std::uint64_t pending_tasks() const;
 
   // Test hook: PE `pe` holds `t` on its work list through every safe point,
@@ -229,14 +227,17 @@ class ThreadEngine final : public TaskSink, public EngineHooks {
   // Receive one mailbox message addressed to `owner` on PE thread `pe` and
   // push the tasks it carries onto pe's work list. Returns how many.
   std::size_t receive(PeId pe, PeId owner, const Mailbox::Msg& msg);
+  struct OutBatch;
   // Stage a cross-PE task from PE thread `src` into its byte batch for
   // `dst`.
   void stage(PeId src, PeId dst, const Task& t);
+  // Send batch `b` from `src` to `dst` — into dst's mailbox on the bare
+  // plane, to the channel as one payload under faults — and empty it.
+  void flush_batch(PeId src, PeId dst, OutBatch& b);
   // Flush every staged batch whose sender is `pe` (force) or only the
   // size/age-ripe ones. PE-thread-local: only thread `pe` touches its
   // batches.
   void flush_outgoing(PeId pe, bool force);
-  void flush_pair(PeId src, PeId dst);
   // Tasks waiting at `pe`: its mailbox plus its last published list size.
   // Only the watchdog reads it; no spawn waits on a receiver.
   std::uint64_t backlog(PeId pe) const {
@@ -272,17 +273,15 @@ class ThreadEngine final : public TaskSink, public EngineHooks {
   // Cross-PE delivery plane: one mailbox per PE, indexed by destination.
   std::vector<std::unique_ptr<Mailbox>> mail_;
   // What each PE thread owns alone: its work list and its outgoing byte
-  // batch per destination PE (fast path only; the channel batches on its
-  // own). Other threads read only the published gauges.
+  // batch per destination PE. Other threads read only the published gauges.
   struct OutBatch {
-    std::vector<std::uint8_t> bytes;  // kData batch format (net/frame.h)
+    std::vector<std::uint8_t> bytes;  // task batch format (net/frame.h)
     std::size_t tasks = 0;
     std::uint64_t deadline_us = 0;  // set when the first task is staged
   };
   struct alignas(64) PeState {
     WorkList work;
     std::vector<OutBatch> out;           // [dst]
-    std::vector<std::span<const std::uint8_t>> views;  // split scratch
     std::optional<Task> held;  // hold_task_for_test
     std::atomic<std::uint64_t> depth{0};       // work.size(), once per pass
     std::atomic<std::uint64_t> high_water{0};  // deepest backlog published
@@ -316,8 +315,9 @@ class ThreadEngine final : public TaskSink, public EngineHooks {
   obs::MetricsRegistry reg_;
   std::unique_ptr<obs::TraceBuffer> trace_;
   std::chrono::steady_clock::time_point t0_;
-  // Message plane (bare without faults). Frames flow spawn → channel →
-  // fault plane → mail_; receive() feeds them back through the channel.
+  // Message plane (bare without faults). Under faults batches flow
+  // flush_batch → channel → fault plane → mail_; receive() feeds them back
+  // through the channel.
   MessagePlane plane_;
 
   // Safe-point audit: runs only inside the quiesce window, on the single

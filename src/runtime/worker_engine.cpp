@@ -65,45 +65,51 @@ void WorkerEngine::rebuild_owned_list() {
 }
 
 MessagePlane WorkerEngine::make_message_plane() {
+  // Each channel frame leaves as one kData frame of its own, stamped with
+  // the generation current when it is written.
   MessagePlane plane(
       cfg_.num_pes, cfg_.net,
-      [this](PeId, PeId dst, FaultPlane::Bytes msg) { stage(dst, msg); },
+      [this](PeId, PeId dst, FaultPlane::Bytes frame) {
+        std::vector<std::uint8_t> wire;
+        wire.reserve(kFrameHeaderSize + frame.size());
+        open_frame(wire, FrameType::kData, gen_, cfg_.pe_begin, dst);
+        wire.insert(wire.end(), frame.begin(), frame.end());
+        seal_frame(wire, 0);
+        write(wire);
+      },
       reg_);
   plane.set_trace(trace_.get());
   return plane;
 }
 
-void WorkerEngine::send_frame(const NetFrame& f) {
-  flush_batches();
-  const std::vector<std::uint8_t> wire = encode_frame(f);
+void WorkerEngine::write(std::span<const std::uint8_t> wire) {
   if (!sock_.write_all(wire.data(), wire.size())) fatal_ = true;
 }
 
-std::vector<std::uint8_t>& WorkerEngine::batch_for(PeId dst) {
-  std::vector<std::uint8_t>& b = out_[dst];
-  // Stamped with the generation current at staging time; receivers void
-  // anything from before their last fence. Nothing is staged across a
-  // kEpochFence frame, so a batch never mixes generations.
-  if (b.empty()) open_frame(b, FrameType::kData, gen_, cfg_.pe_begin, dst);
-  return b;
-}
-
-void WorkerEngine::stage(PeId dst, std::span<const std::uint8_t> msg) {
-  std::vector<std::uint8_t>& b = batch_for(dst);
-  batch_append(b, msg);
-  if (b.size() >= kBatchCap) flush_batch(dst);
+void WorkerEngine::send_frame(const NetFrame& f) {
+  flush_batches();
+  write(encode_frame(f));
 }
 
 void WorkerEngine::flush_batch(PeId dst) {
-  std::vector<std::uint8_t>& b = out_[dst];
-  seal_frame(b, 0);
-  if (!sock_.write_all(b.data(), b.size())) fatal_ = true;
-  b.clear();  // keeps the capacity for the next batch
+  OutBatch& b = out_[dst];
+  const std::span<const std::uint8_t> batch =
+      std::span<const std::uint8_t>(b.bytes).subspan(kFrameHeaderSize);
+  note_batch_flush(reg_, trace_.get(), cfg_.pe_begin, b.tasks, batch.size(),
+                   kBatchCap);
+  if (ChannelManager* chan = plane_.channel()) {
+    chan->send(cfg_.pe_begin, dst, batch, now_us());
+  } else {
+    seal_frame(b.bytes, 0);
+    write(b.bytes);
+  }
+  b.bytes.clear();  // keeps the capacity for the next batch
+  b.tasks = 0;
 }
 
 void WorkerEngine::flush_batches() {
   for (PeId dst = 0; dst < out_.size(); ++dst)
-    if (!out_[dst].empty()) flush_batch(dst);
+    if (out_[dst].tasks > 0) flush_batch(dst);
 }
 
 void WorkerEngine::spawn(Task t) {
@@ -116,19 +122,17 @@ void WorkerEngine::spawn(Task t) {
     return;
   }
   reg_.add(cur_pe_, obs::Counter::kRemoteMessages);
-  if (ChannelManager* chan = plane_.channel()) {
-    std::vector<std::uint8_t> bytes = encode_task(t);
-    reg_.add(cur_pe_, obs::Counter::kBytesSent, bytes.size());
-    chan->send(cur_pe_, dst, std::move(bytes), now_us());
-    return;
-  }
-  // Bare path: encode straight into the destination's batch.
-  std::vector<std::uint8_t>& b = batch_for(dst);
-  const std::size_t at = batch_open(b);
-  append_task(b, t);
-  reg_.add(cur_pe_, obs::Counter::kBytesSent, b.size() - at - kBatchPrefixSize);
-  batch_close(b, at);
-  if (b.size() >= kBatchCap) flush_batch(dst);
+  OutBatch& b = out_[dst];
+  // The kData header goes first: on the bare plane the batch is written as
+  // it stands, header patched, and under faults the channel gets the batch
+  // behind it. Stamped with the generation current at staging time;
+  // receivers void anything from before their last fence. Nothing is staged
+  // across a kEpochFence frame, so a batch never mixes generations.
+  if (b.tasks == 0)
+    open_frame(b.bytes, FrameType::kData, gen_, cfg_.pe_begin, dst);
+  reg_.add(cur_pe_, obs::Counter::kBytesSent, batch_append_task(b.bytes, t));
+  ++b.tasks;
+  if (b.bytes.size() >= kBatchCap) flush_batch(dst);
 }
 
 void WorkerEngine::exec_local(const Task& t) {
@@ -152,11 +156,7 @@ void WorkerEngine::service_channel() {
   ChannelManager* const chan = plane_.channel();
   if (!chan) return;
   const std::uint64_t now = now_us();
-  for (PeId pe : owned_list_) {
-    chan->flush(pe, now);
-    chan->service(pe, now);
-  }
-  flush_batches();
+  for (PeId pe : owned_list_) chan->service(pe, now);
 }
 
 void WorkerEngine::send_telemetry(Plane plane, std::uint64_t epoch) {
@@ -218,7 +218,7 @@ void WorkerEngine::send_telemetry(Plane plane, std::uint64_t epoch) {
 void WorkerEngine::send_mark_report(Plane plane, std::uint64_t epoch) {
   // Order matters: release everything the fault plane is holding (all
   // duplicates or stale by the wave-termination argument in DESIGN.md §7),
-  // flush channel batches, then report. The telemetry delta goes out after
+  // run the channel timers, then report. The telemetry delta goes out after
   // the drains (so it covers the whole interval) but before the report —
   // same FIFO connection, so the controller has merged this interval's
   // telemetry before the wave's final report lets the cycle advance. The
@@ -257,17 +257,15 @@ bool WorkerEngine::handle_frame(NetFrame f) {
 }
 
 bool WorkerEngine::handle_data(const NetFrame& f) {
-  if (!batch_split(f.payload, in_msgs_)) {
+  // Every task the batch carries joins the work list before any runs, so
+  // the strongest marks go first; an undecodable task is counted
+  // (kMsgDecodeError) and skipped, a malformed batch ends the worker.
+  if (!plane_.receive(f.dst, f.dst, f.payload, [this] { return now_us(); },
+                      [this](const Task& t) { q_.push(t); })) {
     DGR_ERROR("worker %u: malformed data batch", index_);
     fatal_ = true;
     return false;
   }
-  // Every task the batch carries joins the work list before any runs, so
-  // the strongest marks go first; an undecodable task is counted
-  // (kMsgDecodeError) and skipped.
-  for (std::span<const std::uint8_t> m : in_msgs_)
-    plane_.receive(f.dst, f.dst, m, [this] { return now_us(); },
-                   [this](const Task& t) { q_.push(t); });
   drain_local();
   return true;
 }

@@ -20,12 +20,15 @@
 // cascade the tasks wait in the same WorkList as ThreadEngine's, M_R marks
 // highest priority first; a kData frame's tasks all join it before any runs.
 //
-// Outgoing marks are staged in one kData batch per destination PE and
-// written at fixed flush points: the end of every handled frame, the end of
-// every channel service pass, before any other frame, and when a batch
-// reaches kBatchCap. Nothing stays staged between frames, so the ordering
-// argument above still holds, and the output is a deterministic function
-// of the input frame stream (docs/CLUSTER.md "Data batches").
+// Outgoing marks are staged in one task batch per destination PE and
+// flushed at fixed points: the end of every handled frame, before any other
+// frame, and when a batch reaches kBatchCap. flush_batch is the one routine
+// that sends a batch: as one kData frame on the bare plane, or to the
+// channel as one payload under faults (sent as PE cfg_.pe_begin, which this
+// worker owns until it exits), whose frames then leave as kData frames of
+// their own. Nothing stays staged between frames, so the ordering argument
+// above still holds, and on the bare plane the output is a deterministic
+// function of the input frame stream (docs/CLUSTER.md "Data batches").
 #pragma once
 
 #include <array>
@@ -77,11 +80,10 @@ class WorkerEngine final : public TaskSink {
   bool handle_data(const NetFrame& f);
   void exec_local(const Task& t);
   void drain_local();
+  // Write raw wire bytes to the controller; a failed write is fatal.
+  void write(std::span<const std::uint8_t> wire);
   // Control frames: staged batches go out first.
   void send_frame(const NetFrame& f);
-  // The batch staged toward `dst`, opened (frame header written) if empty.
-  std::vector<std::uint8_t>& batch_for(PeId dst);
-  void stage(PeId dst, std::span<const std::uint8_t> msg);
   void flush_batch(PeId dst);
   void flush_batches();
   void service_channel();
@@ -110,10 +112,13 @@ class WorkerEngine final : public TaskSink {
   Graph g_;
   Marker marker_;
   WorkList q_;  // locally-owned tasks awaiting execution (runtime/work_list.h)
-  // Staged outgoing kData frames, one per destination PE (empty = none).
-  std::vector<std::vector<std::uint8_t>> out_;
-  // Views into the kData batch being handled (reused across frames).
-  std::vector<std::span<const std::uint8_t>> in_msgs_;
+  // Staged outgoing batches, one per destination PE: a kData frame header,
+  // then the task batch (net/frame.h). Empty while `tasks` is 0.
+  struct OutBatch {
+    std::vector<std::uint8_t> bytes;
+    std::size_t tasks = 0;
+  };
+  std::vector<OutBatch> out_;
   PeId cur_pe_ = 0;          // PE context of the task being executed
   bool clean_shutdown_ = false;
   bool fatal_ = false;

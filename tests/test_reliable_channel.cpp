@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <initializer_list>
 #include <memory>
 #include <set>
 #include <utility>
@@ -16,7 +17,9 @@
 
 #include "graph/builder.h"
 #include "graph/oracle.h"
+#include "net/frame.h"
 #include "net/reliable_channel.h"
+#include "net/wire.h"
 #include "runtime/message_plane.h"
 #include "runtime/thread_engine.h"
 
@@ -34,7 +37,7 @@ TEST(ChannelFrame, RoundTripDataAndAck) {
   d.dst = 1;
   d.seq = 77;
   d.ack = 12;  // piggybacked cumulative ack for the reverse channel
-  d.payloads = {payload(0xAB)};
+  d.payload = payload(0xAB);
   const std::optional<ChannelFrame> d2 = try_decode_frame(encode_frame(d));
   ASSERT_TRUE(d2.has_value());
   EXPECT_TRUE(d2->is_data);
@@ -42,7 +45,7 @@ TEST(ChannelFrame, RoundTripDataAndAck) {
   EXPECT_EQ(d2->dst, 1u);
   EXPECT_EQ(d2->seq, 77u);
   EXPECT_EQ(d2->ack, 12u);
-  EXPECT_EQ(d2->payloads, d.payloads);
+  EXPECT_EQ(d2->payload, d.payload);
 
   ChannelFrame a;
   a.is_data = false;
@@ -53,19 +56,38 @@ TEST(ChannelFrame, RoundTripDataAndAck) {
   ASSERT_TRUE(a2.has_value());
   EXPECT_FALSE(a2->is_data);
   EXPECT_EQ(a2->seq, 41u);
-  EXPECT_TRUE(a2->payloads.empty());
+  EXPECT_TRUE(a2->payload.empty());
 }
 
-TEST(ChannelFrame, RoundTripMultiPayload) {
+TEST(ChannelFrame, RoundTripEmptyAndLargePayload) {
+  for (const Bytes& p : {Bytes{}, Bytes(70000, 0x5A)}) {
+    ChannelFrame d;
+    d.src = 0;
+    d.dst = 2;
+    d.seq = 5;
+    d.payload = p;
+    const Bytes wire = encode_frame(d);
+    const std::optional<ChannelFrame> d2 = try_decode_frame(wire);
+    ASSERT_TRUE(d2.has_value()) << p.size();
+    EXPECT_EQ(d2->payload, p);
+    // The unchecked view a mailbox counts tasks with sees the same bytes.
+    const std::span<const std::uint8_t> view = frame_payload(wire);
+    EXPECT_EQ(Bytes(view.begin(), view.end()), p);
+  }
+}
+
+TEST(ChannelFrame, FramePayloadOfAckOrStubIsEmpty) {
+  ChannelFrame a;
+  a.is_data = false;
+  a.seq = 3;
+  EXPECT_TRUE(frame_payload(encode_frame(a)).empty());
+  EXPECT_TRUE(frame_payload(Bytes{0xD1, 0, 0}).empty());
+  // A truncated data frame's view is clipped to the bytes that arrived.
   ChannelFrame d;
-  d.is_data = true;
-  d.src = 0;
-  d.dst = 2;
-  d.seq = 5;
-  d.payloads = {payload(0x01), Bytes{}, payload(0x02), Bytes(1, 0xFF)};
-  const std::optional<ChannelFrame> d2 = try_decode_frame(encode_frame(d));
-  ASSERT_TRUE(d2.has_value());
-  EXPECT_EQ(d2->payloads, d.payloads);  // order and empties preserved
+  d.payload = payload(0x77);
+  Bytes cut = encode_frame(d);
+  cut.resize(cut.size() - 8 - 5);  // checksum and five payload bytes lost
+  EXPECT_EQ(frame_payload(cut).size(), d.payload.size() - 5);
 }
 
 TEST(ChannelFrame, TruncationAtEveryLengthRejected) {
@@ -73,7 +95,7 @@ TEST(ChannelFrame, TruncationAtEveryLengthRejected) {
   f.src = 0;
   f.dst = 1;
   f.seq = 9;
-  f.payloads = {payload(0x5C), payload(0x5D)};
+  f.payload = Bytes(24, 0x5C);
   const Bytes full = encode_frame(f);
   for (std::size_t cut = 0; cut < full.size(); ++cut) {
     const Bytes prefix(full.begin(), full.begin() + cut);
@@ -87,21 +109,13 @@ TEST(ChannelFrame, AnySingleBitFlipRejected) {
   f.src = 2;
   f.dst = 0;
   f.seq = 1234;
-  f.payloads = {payload(0x11)};
+  f.payload = payload(0x11);
   const Bytes full = encode_frame(f);
   for (std::size_t byte = 0; byte < full.size(); ++byte) {
     Bytes bad = full;
     bad[byte] ^= 0x40;
     EXPECT_FALSE(try_decode_frame(bad).has_value()) << "byte=" << byte;
   }
-}
-
-// One payload per frame, so a test can reason frame by frame. Acks are still
-// deferred (or piggybacked) like on any batch.
-ReliableOptions per_frame() {
-  ReliableOptions opt;
-  opt.batch_bytes = 0;
-  return opt;
 }
 
 // Scripted wire: SendFn captures frames onto a queue (optionally misbehaving
@@ -117,7 +131,7 @@ struct Harness {
   ReliableOptions opt;
   std::unique_ptr<ChannelManager> mgr;
 
-  explicit Harness(ReliableOptions o = per_frame()) : opt(o) {
+  explicit Harness(ReliableOptions o = {}) : opt(o) {
     mgr = std::make_unique<ChannelManager>(
         2, opt, [this](PeId, PeId to, Bytes frame) {
           ++transmissions;
@@ -157,7 +171,7 @@ TEST(ChannelManager, InOrderNoFaultsPassThrough) {
 }
 
 TEST(ChannelManager, LossRecoveredByRetransmit) {
-  ReliableOptions opt = per_frame();
+  ReliableOptions opt;
   opt.rto_initial_us = 100;
   opt.rto_max_us = 1000;
   Harness h(opt);
@@ -206,7 +220,7 @@ TEST(ChannelManager, ReorderedWireDeliversInOrder) {
 }
 
 TEST(ChannelManager, LostAcksRepairedByRetransmitReAck) {
-  ReliableOptions opt = per_frame();
+  ReliableOptions opt;
   opt.rto_initial_us = 100;
   Harness h(opt);
   h.drop_all_acks = true;
@@ -228,7 +242,7 @@ TEST(ChannelManager, LostAcksRepairedByRetransmitReAck) {
 }
 
 TEST(ChannelManager, BackoffCapsAndResets) {
-  ReliableOptions opt = per_frame();
+  ReliableOptions opt;
   opt.rto_initial_us = 100;
   opt.rto_max_us = 400;
   Harness h(opt);
@@ -269,109 +283,39 @@ TEST(ChannelManager, GarbageFrameCountsDecodeError) {
   EXPECT_EQ(h.mgr->stats().decode_errors, 1u);
 }
 
-TEST(ChannelManager, PerFrameAckPiggybacksOnReverseData) {
-  ReliableOptions opt = per_frame();
+TEST(ChannelManager, AckPiggybacksOnReverseData) {
+  ReliableOptions opt;
   opt.rto_initial_us = 100000;
   Harness h(opt);
-  h.mgr->send(0, 1, payload(1), 0);  // one payload: sent at once
+  h.mgr->send(0, 1, payload(1), 0);
   h.pump(0);
   ASSERT_EQ(h.got.size(), 1u);
   EXPECT_EQ(h.mgr->unacked(0, 1), 1u);
   h.mgr->send(1, 0, payload(2), 10);  // reverse data carries the ack
   h.pump(10);
   ASSERT_EQ(h.got.size(), 2u);
-  EXPECT_EQ(h.mgr->unacked(0, 1), 0u);
-  EXPECT_EQ(h.mgr->stats().acks_sent, 0u);
-  EXPECT_EQ(h.mgr->unacked(1, 0), 1u);
+  EXPECT_EQ(h.mgr->unacked(0, 1), 0u);      // acked by piggyback...
+  EXPECT_EQ(h.mgr->stats().acks_sent, 0u);  // ...no standalone ack frame
+  EXPECT_EQ(h.mgr->unacked(1, 0), 1u);      // reverse frame awaits its own
 }
 
-// ---- Coalescing (ReliableOptions::batch_bytes above one payload). ----
-
-TEST(ChannelBatching, SizeCapCoalescesManyPayloadsPerFrame) {
+TEST(ChannelManager, DeferredAckGoesStandaloneAfterBatchFlushUs) {
   ReliableOptions opt;
-  opt.batch_bytes = 64;  // payload(_) stages 12 + 4 overhead = 16 bytes
-  opt.batch_flush_us = 1000;
-  Harness h(opt);
-  std::uint64_t now = 0;
-  for (std::uint8_t i = 0; i < 20; ++i) h.mgr->send(0, 1, payload(i), now);
-  h.mgr->flush(0, now);  // force the tail out
-  h.pump(1);
-  ASSERT_EQ(h.got.size(), 20u);
-  for (std::uint8_t i = 0; i < 20; ++i) EXPECT_EQ(h.got[i], payload(i));
-  const ChannelManager::Stats s = h.mgr->stats();
-  EXPECT_EQ(s.payloads_coalesced, 20u);
-  EXPECT_EQ(s.delivered, 20u);
-  // 4 payloads per size-capped flush: 5 data frames, not 20.
-  EXPECT_EQ(s.data_sent, 5u);
-  EXPECT_EQ(s.batch_flushes, 5u);
-}
-
-TEST(ChannelBatching, AgeCapFlushesAndDeferredAckGoesStandalone) {
-  ReliableOptions opt;
-  opt.batch_bytes = 1024;
   opt.batch_flush_us = 100;
   opt.rto_initial_us = 100000;  // keep retransmits out of the picture
   Harness h(opt);
   h.mgr->send(0, 1, payload(1), 0);
-  h.mgr->send(0, 1, payload(2), 0);
-  EXPECT_EQ(h.transmissions, 0u);  // staged, not sent
-  h.mgr->service(0, 50);
-  EXPECT_EQ(h.transmissions, 0u);  // younger than the age cap
-  h.mgr->service(0, 100);
-  EXPECT_EQ(h.transmissions, 1u);  // aged batch flushed as one frame
-  h.pump(100);
-  ASSERT_EQ(h.got.size(), 2u);
-  // The receiver defers its ack hoping for reverse data to piggyback on...
-  EXPECT_EQ(h.mgr->unacked(0, 1), 1u);
-  h.mgr->service(1, 150);
-  h.pump(150);
-  EXPECT_EQ(h.mgr->unacked(0, 1), 1u);  // ...not due yet...
-  h.mgr->service(1, 200);
-  h.pump(200);
-  EXPECT_EQ(h.mgr->unacked(0, 1), 0u);  // ...sent standalone at the age cap
-  EXPECT_EQ(h.mgr->stats().acks_sent, 1u);
-}
-
-TEST(ChannelBatching, AckPiggybacksOnReverseData) {
-  ReliableOptions opt;
-  opt.batch_bytes = 1024;
-  opt.batch_flush_us = 100;
-  opt.rto_initial_us = 100000;
-  Harness h(opt);
-  h.mgr->send(0, 1, payload(1), 0);
-  h.mgr->flush(0, 0);
+  EXPECT_EQ(h.transmissions, 1u);  // framed and sent at once
   h.pump(0);
   ASSERT_EQ(h.got.size(), 1u);
-  EXPECT_EQ(h.mgr->unacked(0, 1), 1u);
-  // Reverse data inside the deferral window carries the cumulative ack.
-  h.mgr->send(1, 0, payload(2), 10);
-  h.mgr->flush(1, 10);
-  h.pump(10);
-  ASSERT_EQ(h.got.size(), 2u);
-  EXPECT_EQ(h.mgr->unacked(0, 1), 0u);         // acked by piggyback...
-  EXPECT_EQ(h.mgr->stats().acks_sent, 0u);     // ...no standalone ack frame
-  EXPECT_EQ(h.mgr->unacked(1, 0), 1u);         // reverse frame awaits its own
-}
-
-TEST(ChannelBatching, LostBatchRecoveredWholeByRetransmit) {
-  ReliableOptions opt;
-  opt.batch_bytes = 48;  // exactly three staged payloads
-  opt.batch_flush_us = 1000;
-  opt.rto_initial_us = 100;
-  Harness h(opt);
-  h.drop = {1};  // the (only) first data transmission vanishes
-  std::uint64_t now = 0;
-  for (std::uint8_t i = 0; i < 3; ++i) h.mgr->send(0, 1, payload(i), now);
-  h.pump(now);
-  EXPECT_TRUE(h.got.empty());
-  EXPECT_EQ(h.mgr->unacked(0, 1), 1u);  // one frame holds the whole batch
-  now = 200;
-  h.mgr->service(0, now);
-  h.pump(now);
-  ASSERT_EQ(h.got.size(), 3u);
-  for (std::uint8_t i = 0; i < 3; ++i) EXPECT_EQ(h.got[i], payload(i));
-  EXPECT_EQ(h.mgr->stats().retransmits, 1u);
-  EXPECT_EQ(h.mgr->stats().delivered, 3u);
+  // The receiver defers its ack hoping for reverse data to piggyback on...
+  h.mgr->service(1, 50);
+  h.pump(50);
+  EXPECT_EQ(h.mgr->unacked(0, 1), 1u);  // ...not due yet...
+  h.mgr->service(1, 100);
+  h.pump(100);
+  EXPECT_EQ(h.mgr->unacked(0, 1), 0u);  // ...sent standalone at the age cap
+  EXPECT_EQ(h.mgr->stats().acks_sent, 1u);
 }
 
 // ---- End to end: ThreadEngine marking over an actively faulted plane. ----
@@ -462,9 +406,20 @@ TEST(ThreadEngineUnderFaults, AuditedCyclesStayClean) {
   EXPECT_EQ(eng.health().total(), 0u);
 }
 
-// ---- The shared receive routine: a payload that is not a task is loud. ----
+// ---- The shared receive routine: a message that is not a task is loud. ----
 
-TEST(MessagePlaneReceive, UndecodablePayloadIsCountedNotExecuted) {
+// A task batch of the given messages (net/frame.h).
+Bytes batch_of(std::initializer_list<Bytes> msgs) {
+  Bytes b;
+  for (const Bytes& m : msgs) {
+    const std::size_t at = batch_open(b);
+    b.insert(b.end(), m.begin(), m.end());
+    batch_close(b, at);
+  }
+  return b;
+}
+
+TEST(MessagePlaneReceive, UndecodableTaskIsCountedMalformedBatchRefused) {
   obs::MetricsRegistry reg(2);
   std::deque<std::pair<PeId, Bytes>> wire;
   NetOptions net;
@@ -474,32 +429,45 @@ TEST(MessagePlaneReceive, UndecodablePayloadIsCountedNotExecuted) {
       [&](PeId, PeId dst, Bytes f) { wire.emplace_back(dst, std::move(f)); },
       reg);
   ASSERT_NE(plane.channel(), nullptr);
-  // ...and clean pair schedules deliver the one frame intact, exactly once.
+  // ...and clean pair schedules deliver each frame intact, exactly once.
   plane.fault()->set_pair_spec(0, 1, FaultSpec{});
   plane.fault()->set_pair_spec(1, 0, FaultSpec{});
-  plane.channel()->send(0, 1, Bytes{1, 2, 3}, 0);
-  plane.channel()->flush(0, 0);
-  std::size_t consumed = 0, executed = 0;
+  const Task task = Task::mark(Plane::kR, VertexId{1, 0}, VertexId{0, 0}, 3);
+  // One well-formed batch holding a task and a message that is not one,
+  // then a batch whose length prefix runs past its end.
+  Bytes malformed = batch_of({Bytes{4, 5}});
+  malformed.pop_back();
+  plane.channel()->send(0, 1, batch_of({encode_task(task), Bytes{1, 2, 3}}),
+                        0);
+  plane.channel()->send(0, 1, malformed, 0);
+  std::size_t executed = 0;
   const auto now = [] { return std::uint64_t{0}; };
-  const auto exec = [&](const Task&) { ++executed; };
+  const auto exec = [&](const Task& t) {
+    EXPECT_EQ(t.d, task.d);
+    ++executed;
+  };
+  std::vector<bool> ok;
   while (!wire.empty()) {
     auto [dst, frame] = std::move(wire.front());
     wire.pop_front();
-    consumed += plane.receive(dst, dst, frame, now, exec);
+    ok.push_back(plane.receive(dst, dst, frame, now, exec));
   }
-  EXPECT_EQ(consumed, 1u);
-  EXPECT_EQ(executed, 0u);
-  EXPECT_EQ(reg.total(obs::Counter::kMsgDecodeError), 1u);
-  EXPECT_EQ(plane.channel()->stats().decode_errors, 0u);  // frame was sound
+  EXPECT_EQ(ok, (std::vector<bool>{true, false}));
+  EXPECT_EQ(executed, 1u);
+  EXPECT_EQ(reg.total(obs::Counter::kMsgDecodeError), 2u);
+  EXPECT_EQ(plane.channel()->stats().decode_errors, 0u);  // frames were sound
 
-  // The bare plane (no faults) takes the same path for the raw message.
+  // The bare plane (no faults) takes the same path for the raw batch.
   obs::MetricsRegistry bare_reg(2);
   MessagePlane bare(2, NetOptions{}, [](PeId, PeId, Bytes) {}, bare_reg);
   ASSERT_EQ(bare.channel(), nullptr);
-  const Bytes junk{1, 2, 3};
-  EXPECT_EQ(bare.receive(1, 1, junk, now, exec), 1u);
-  EXPECT_EQ(executed, 0u);
+  EXPECT_TRUE(bare.receive(1, 1, batch_of({encode_task(task), Bytes{1, 2, 3}}),
+                           now, exec));
+  EXPECT_EQ(executed, 2u);
   EXPECT_EQ(bare_reg.total(obs::Counter::kMsgDecodeError), 1u);
+  EXPECT_FALSE(bare.receive(1, 1, malformed, now, exec));
+  EXPECT_EQ(executed, 2u);
+  EXPECT_EQ(bare_reg.total(obs::Counter::kMsgDecodeError), 2u);
 }
 
 }  // namespace

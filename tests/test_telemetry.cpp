@@ -215,7 +215,7 @@ TEST(TelemetryCodec, WorkerConfigCarriesTraceRequest) {
   c.net.reliable.batch_flush_us = 33;
   c.trace_enabled = true;
   c.trace_capacity = 512;
-  // Wire format pin (kProtoVersion 3): these exact bytes, field by field,
+  // Wire format pin (kProtoVersion 4): these exact bytes, field by field,
   // little-endian. A worker decodes the kRegisterAck that carries them, so
   // any change here needs a protocol version bump.
   const Bytes golden = {
@@ -248,7 +248,7 @@ TEST(TelemetryCodec, WorkerConfigCarriesTraceRequest) {
                       0x5d, 0x00, 0x00, 0x00};  // index, workers, length
   ack_golden.insert(ack_golden.end(), golden.begin(), golden.end());
   EXPECT_EQ(encode_register_ack(ack), ack_golden);
-  EXPECT_EQ(kProtoVersion, 3u);
+  EXPECT_EQ(kProtoVersion, 4u);
 
   WorkerConfig d;
   ASSERT_TRUE(decode_worker_config(golden, d));

@@ -716,23 +716,36 @@ BuiltGraph build_cross_pe_graph(Graph& g) {
 }
 
 TEST(ThreadEngineTermination, WaitQuiescentReturnsOnlyWithTheCycleDone) {
-  Graph g = make_presized(2, 1000);
-  const BuiltGraph b = build_cross_pe_graph(g);
-  ThreadEngine eng(g);
-  eng.set_root(b.root);
-  eng.start();
-  for (std::uint64_t cycle = 1; cycle <= 3; ++cycle) {
-    eng.controller().start_cycle();
-    eng.wait_quiescent();
-    EXPECT_TRUE(eng.controller().idle());
-    EXPECT_EQ(eng.controller().cycles_completed(), cycle);
+  // On the bare plane and on a faulted one: either way the staged rows hold
+  // every task not yet sent, so the safe point sees them.
+  NetOptions faulted;
+  faulted.faults.seed = 3;
+  faulted.faults.spec.drop = 0.05;
+  faulted.faults.spec.duplicate = 0.05;
+  faulted.faults.spec.reorder = 0.1;
+  faulted.reliable.rto_initial_us = 200;
+  for (const NetOptions& net : {NetOptions{}, faulted}) {
+    SCOPED_TRACE(net.faults.spec.any() ? "faulted plane" : "bare plane");
+    Graph g = make_presized(2, 1000);
+    const BuiltGraph b = build_cross_pe_graph(g);
+    ThreadEngine eng(g, net);
+    eng.set_root(b.root);
+    eng.start();
+    for (std::uint64_t cycle = 1; cycle <= 3; ++cycle) {
+      eng.controller().start_cycle();
+      eng.wait_quiescent();
+      EXPECT_TRUE(eng.controller().idle());
+      EXPECT_EQ(eng.controller().cycles_completed(), cycle);
+    }
+    eng.stop();
+    EXPECT_GT(eng.metrics_registry().total(obs::Counter::kRemoteMessages),
+              0u);
+    // Every safe point found every list, row and (bare) mailbox empty, and
+    // so does the stopped engine.
+    EXPECT_EQ(eng.audit_stats().violations, 0u)
+        << eng.audit_stats().last_what;
+    EXPECT_EQ(eng.pending_tasks(), 0u);
   }
-  eng.stop();
-  EXPECT_GT(eng.metrics_registry().total(obs::Counter::kRemoteMessages), 0u);
-  // Every safe point found every list, row and mailbox empty, and so does
-  // the stopped engine.
-  EXPECT_EQ(eng.audit_stats().violations, 0u) << eng.audit_stats().last_what;
-  EXPECT_EQ(eng.pending_tasks(), 0u);
 }
 
 TEST(ThreadEngineTermination, TaskHeldPastTheRootsReturnTripsTheSafePoint) {

@@ -151,23 +151,34 @@ TEST(FrameCodec, WrongVersionIsError) {
   EXPECT_TRUE(c.error());
 }
 
-// ---- kData batches: length-prefixed messages in one payload. ----
+// ---- Task batches: length-prefixed messages in one payload. ----
 
 using Msg = std::vector<std::uint8_t>;
 
+// Append one message the way the engines stage a task: reserve the length
+// prefix, write the bytes, patch the prefix.
+void append_msg(std::vector<std::uint8_t>& b, const Msg& m) {
+  const std::size_t at = batch_open(b);
+  b.insert(b.end(), m.begin(), m.end());
+  batch_close(b, at);
+}
+
 std::vector<Msg> split_copy(const std::vector<std::uint8_t>& batch,
                             bool* ok) {
-  std::vector<std::span<const std::uint8_t>> views;
-  *ok = batch_split(batch, views);
   std::vector<Msg> out;
-  for (std::span<const std::uint8_t> v : views)
+  const std::optional<std::size_t> n = batch_count(batch);
+  *ok = n.has_value();
+  if (!n) return out;
+  batch_for_each(batch, [&](std::span<const std::uint8_t> v) {
     out.emplace_back(v.begin(), v.end());
+  });
+  EXPECT_EQ(out.size(), *n);
   return out;
 }
 
 TEST(DataBatch, RoundTripOneMessage) {
   std::vector<std::uint8_t> b;
-  batch_append(b, Msg{7, 8, 9});
+  append_msg(b, Msg{7, 8, 9});
   EXPECT_EQ(b.size(), kBatchPrefixSize + 3);
   bool ok = false;
   const std::vector<Msg> got = split_copy(b, &ok);
@@ -181,14 +192,7 @@ TEST(DataBatch, RoundTripManyMessagesInOrder) {
   std::vector<Msg> want;
   for (std::uint8_t i = 0; i < 50; ++i) {
     want.push_back(Msg(i % 7 + 1, i));
-    if (i % 2) {
-      batch_append(b, want.back());
-    } else {
-      // The in-place form WorkerEngine uses: reserve, write, patch.
-      const std::size_t at = batch_open(b);
-      b.insert(b.end(), want.back().begin(), want.back().end());
-      batch_close(b, at);
-    }
+    append_msg(b, want.back());
   }
   bool ok = false;
   EXPECT_EQ(split_copy(b, &ok), want);
@@ -197,9 +201,9 @@ TEST(DataBatch, RoundTripManyMessagesInOrder) {
 
 TEST(DataBatch, ZeroLengthMessageAndEmptyBatch) {
   std::vector<std::uint8_t> b;
-  batch_append(b, Msg{});
-  batch_append(b, Msg{1});
-  batch_append(b, Msg{});
+  append_msg(b, Msg{});
+  append_msg(b, Msg{1});
+  append_msg(b, Msg{});
   bool ok = false;
   const std::vector<Msg> got = split_copy(b, &ok);
   ASSERT_TRUE(ok);
@@ -211,14 +215,11 @@ TEST(DataBatch, ZeroLengthMessageAndEmptyBatch) {
 
 TEST(DataBatch, LengthPastEndIsRejected) {
   std::vector<std::uint8_t> b;
-  batch_append(b, Msg{1, 2});
-  batch_append(b, Msg{3, 4, 5, 6});
+  append_msg(b, Msg{1, 2});
+  append_msg(b, Msg{3, 4, 5, 6});
   // Every cut inside the second message leaves its prefix overrunning.
-  for (std::size_t cut = b.size() - 4; cut < b.size(); ++cut) {
-    std::vector<std::span<const std::uint8_t>> views;
-    EXPECT_FALSE(batch_split(std::span(b.data(), cut), views)) << cut;
-    EXPECT_TRUE(views.empty());
-  }
+  for (std::size_t cut = b.size() - 4; cut < b.size(); ++cut)
+    EXPECT_FALSE(batch_count(std::span(b.data(), cut))) << cut;
   // A prefix claiming more than the payload holds.
   std::vector<std::uint8_t> huge = {0xff, 0xff, 0xff, 0x7f, 1, 2};
   bool ok = true;
@@ -228,7 +229,7 @@ TEST(DataBatch, LengthPastEndIsRejected) {
 
 TEST(DataBatch, TrailingBytesAreRejected) {
   std::vector<std::uint8_t> b;
-  batch_append(b, Msg{9, 9});
+  append_msg(b, Msg{9, 9});
   // 1-3 stray bytes cannot hold a length prefix.
   for (int extra = 1; extra < static_cast<int>(kBatchPrefixSize); ++extra) {
     std::vector<std::uint8_t> t = b;
@@ -481,7 +482,7 @@ TEST(SocketHub, DataFramesRelayToEndpointOwner) {
     sent.push_back(i == 40 ? Msg{}
                            : Msg{static_cast<std::uint8_t>(i),
                                  static_cast<std::uint8_t>(i >> 8)});
-    batch_append(batch.payload, sent.back());
+    append_msg(batch.payload, sent.back());
   }
   const std::uint64_t relayed = rig.hub().stats().frames_relayed;
   const auto batch_wire = encode_frame(batch);
@@ -648,6 +649,31 @@ TEST(WorkerEngine, TruncatedSeedExitsNonzero) {
   NetFrame shutdown;
   shutdown.type = FrameType::kShutdown;
   for (const NetFrame& f : {seed, shutdown}) {
+    const std::vector<std::uint8_t> wire = encode_frame(f);
+    ASSERT_TRUE(controller.write_all(wire.data(), wire.size()));
+  }
+  WorkerConfig cfg;
+  cfg.num_pes = 1;
+  cfg.pe_count = 1;
+  WorkerEngine worker(Socket(fds[0]), FrameCodec{}, 0, cfg);
+  EXPECT_EQ(worker.run(), 1);
+}
+
+TEST(WorkerEngine, MalformedDataBatchExitsNonzero) {
+  // The same rule for a kData task batch whose length prefix runs past its
+  // end: the split in MessagePlane::receive refuses it, and the worker
+  // exits 1 rather than skipping it.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  Socket controller(fds[1]);
+  NetFrame data;
+  data.type = FrameType::kData;
+  append_msg(data.payload, encode_task(Task::mark(Plane::kR, VertexId{0, 0},
+                                                  VertexId::invalid(), 3)));
+  data.payload.pop_back();
+  NetFrame shutdown;
+  shutdown.type = FrameType::kShutdown;
+  for (const NetFrame& f : {data, shutdown}) {
     const std::vector<std::uint8_t> wire = encode_frame(f);
     ASSERT_TRUE(controller.write_all(wire.data(), wire.size()));
   }
